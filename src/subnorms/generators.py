@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -158,23 +159,110 @@ def geval(g: Generator, x):
     return float(out[0]) if scalar else out
 
 
-def _bisect_invert(g: Generator, u: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
-    """Monotone bisection on [0,1]; bracket guaranteed by strict decrease."""
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    for _ in range(200):
-        if np.all(hi - lo < tol.inversion_tol):
-            break
-        mid = 0.5 * (lo + hi)
-        smid = geval(g, mid)
-        high_side = smid > u  # s(mid) above target -> root is to the right
-        lo = np.where(high_side, mid, lo)
-        hi = np.where(high_side, hi, mid)
-    return 0.5 * (lo + hi)
+SOLVER_CHUNK = 16384  # targets polished together; bounds the solver's working set
+_TABLE_GEOM, _TABLE_UNIFORM = 128, 256  # bracket-table nodes per end / across [0, 1]
+_ILLINOIS_STEPS = 12  # after this many polish steps every other step bisects
+
+
+@lru_cache(maxsize=8)
+def _bracket_table(eps: float) -> np.ndarray:
+    """Bracket-table abscissae: 0, then 2*eps to 1 increasing, then 1 again.
+
+    Between the ends the nodes are uniform plus geometric towards 0, where s
+    blows up, and towards 1, where s may be flat (s(x) = (-ln x)^l, l > 1,
+    has s'(1) = 0).  The outer 0 and 1 are sentinels paired with s = inf and
+    s = -inf: they bracket targets above s(2*eps) by [0, 2*eps] and close
+    [1, 1] on targets below the computed s(1).
+    """
+    near0 = np.geomspace(2 * eps, 1.0, _TABLE_GEOM)
+    near1 = 1.0 - np.geomspace(2 * eps, 0.5, _TABLE_GEOM)
+    uniform = np.linspace(0.0, 1.0, _TABLE_UNIFORM + 1)[1:]
+    inner = np.unique(np.concatenate([near0, near1, uniform]))
+    nodes = np.concatenate([[0.0], inner, [1.0]])
+    nodes.setflags(write=False)
+    return nodes
+
+
+def _bracket_invert(g: Generator, u: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+    """x with |x - s^{-1}(u)| <= inversion_tol / 2, for finite u >= s(1).
+
+    Bracket, then polish.  One evaluation of s on a fixed table of nodes
+    brackets every target with ``searchsorted``; a target above s(2*eps)
+    returns eps and one equal to a table value returns its node
+    (eps = inversion_tol / 2).  Every other bracket [a, b], s(a) > u >= s(b),
+    is narrowed by Illinois (modified regula falsi) steps until
+    b - a <= 2*eps, and its midpoint is returned.  Each iterate is kept in
+    [a + eps, b - eps], so a bracket within eps of the root closes on the
+    next step; where s(a) is inf (an overflow) the step is a midpoint.  After
+    ``_ILLINOIS_STEPS`` steps every other step bisects, which bounds the worst
+    case.  Targets are polished in chunks of ``SOLVER_CHUNK``.
+    """
+    eps = 0.5 * tol.inversion_tol
+    nodes = _bracket_table(eps)
+    vals = np.concatenate([[INF], geval(g, nodes[1:-1]), [-INF]])
+    out = np.empty_like(u)
+    for lo in range(0, u.size, SOLVER_CHUNK):
+        out[lo:lo + SOLVER_CHUNK] = _polish(g, u[lo:lo + SOLVER_CHUNK], nodes, vals, eps)
+    return out
+
+
+def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
+            eps: float) -> np.ndarray:
+    """Bracket ``u`` in the table (nodes, vals = s(nodes)), then close every bracket."""
+    j = np.searchsorted(-vals, -u)  # vals[j-1] > u >= vals[j]
+    a, b = nodes[j - 1], nodes[j]
+    fa, fb = vals[j - 1] - u, vals[j] - u  # fa > 0 (maybe inf) >= fb
+    np.copyto(a, b, where=fb == 0)  # u on a table value: done at its node
+    out = np.empty_like(u)
+    idx = np.arange(u.size)
+    moved_a = np.zeros(u.size, bool)
+    step = 0
+    with np.errstate(invalid="ignore", over="ignore"):
+        while True:
+            done = (b - a) <= 2 * eps
+            ndone = np.count_nonzero(done)
+            if ndone == idx.size:
+                break
+            if 2 * ndone >= idx.size:  # compact once half the active set has closed
+                out[idx[done]] = 0.5 * (a[done] + b[done])
+                keep = np.flatnonzero(~done)
+                idx, u, a, b, fa, fb, moved_a = (
+                    arr[keep] for arr in (idx, u, a, b, fa, fb, moved_a))
+            if step >= _ILLINOIS_STEPS and step % 2:
+                x = a + b
+                x *= 0.5
+            else:
+                x = a * fb
+                x -= b * fa
+                x /= fb - fa
+                nan = np.isnan(x)  # inf / inf where s(a) = inf: bisect
+                if nan.any():
+                    x[nan] = 0.5 * (a[nan] + b[nan])
+            np.maximum(x, a + eps, out=x)
+            np.minimum(x, b - eps, out=x)
+            fx = geval(g, x)
+            fx -= u
+            high = fx > 0  # s(x) > u: the root is right of x
+            low = ~high
+            np.copyto(a, x, where=high)
+            np.copyto(fa, fx, where=high)
+            np.copyto(b, x, where=low)
+            np.copyto(fb, fx, where=low)
+            if step:  # Illinois: halve the value at an end kept twice in a row
+                np.multiply(fb, 0.5, out=fb, where=high & moved_a)
+                np.multiply(fa, 0.5, out=fa, where=low & ~moved_a)
+            moved_a = high
+            step += 1
+    out[idx] = 0.5 * (a + b)
+    return out
 
 
 def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
-    """Invert s on its range [s(1), inf]; u = inf maps to 0."""
+    """Invert s on its range [s(1), inf]; u = inf maps to 0.
+
+    Closed inverses are evaluated directly; a NUMERIC_INVERSE generator is
+    solved to within inversion_tol / 2 by a bracketed root finder.
+    """
     arr = np.asarray(u, dtype=float)
     if np.any(np.isnan(arr)):
         raise DomainError("cannot invert NaN")
@@ -192,7 +280,7 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
                 vals = np.asarray(g.inverse_fn(arr[fin]), dtype=float)
             out[fin] = np.clip(np.where(np.isnan(vals), 0.0, vals), 0.0, 1.0)
         else:
-            out[fin] = _bisect_invert(g, arr[fin], tol)
+            out[fin] = _bracket_invert(g, arr[fin], tol)
     return float(out[0]) if scalar else out
 
 
@@ -278,8 +366,9 @@ def validate_generator(g: Generator, grid: IntervalGrid | None = None,
                        tol: ToleranceProfile = DEFAULT_TOL) -> None:
     """Sampled invariant check; raises GeneratorValidationError on failure.
 
-    Checks s(0) = inf, s(1) = boundary_at_one, strict decrease across the
-    grid, continuity near grid points, and inversion consistency.
+    Checks s(0) = inf, s(1) = boundary_at_one, finite values and strict
+    decrease across the grid (an overflow to inf inside (0, 1] fails),
+    continuity near grid points, and inversion consistency.
     """
     grid = grid or IntervalGrid.uniform(41)
     if geval(g, 0.0) != INF:
@@ -290,6 +379,10 @@ def validate_generator(g: Generator, grid: IntervalGrid | None = None,
             f"{g.label}: s(1) = {v1} disagrees with declared {g.boundary_at_one}")
     xs = np.append(grid.epsilon_floor, grid.points)
     vals = geval(g, xs)
+    if not np.all(np.isfinite(vals)):
+        i = int(np.argmin(np.isfinite(vals)))
+        raise GeneratorValidationError(
+            f"{g.label}: s is not finite at x = {xs[i]:.6g} (overflow plateau?)")
     if np.any(np.diff(vals) >= 0):
         i = int(np.argmax(np.diff(vals) >= 0))
         raise GeneratorValidationError(
@@ -319,7 +412,11 @@ def closed_form(fn, inverse_fn, boundary_at_one, label, family=None, params=()):
 
 
 def numeric_inverse(fn, boundary_at_one, label, family=None, params=()):
-    """Generator whose inverse is obtained by bisection."""
+    """Generator with no closed inverse; :func:`ginvert` solves s(x) = u.
+
+    The solver brackets each target on a fixed table of s values, then
+    polishes with safeguarded Illinois steps to within inversion_tol / 2.
+    """
     return Generator(fn=fn, inverse_fn=None, boundary_at_one=boundary_at_one,
                      label=label, kind=NUMERIC_INVERSE, family=family,
                      params=tuple(params))

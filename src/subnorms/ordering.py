@@ -404,7 +404,7 @@ def strict_dominance_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
     if not isinstance(T, TSubnorm) or not T.is_strict:
         return CriterionReport("strict_dominance_test", NOT_APPLICABLE,
                                notes="right operand is not a strict t-norm")
-    if not S.is_proper:
+    if not (isinstance(S, TSubnorm) and S.is_proper):
         return CriterionReport("strict_dominance_test", NOT_APPLICABLE,
                                notes="left operand is not proper")
     s = normalize(S.generator)
@@ -431,6 +431,9 @@ def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
     if not isinstance(T, TSubnorm) or not T.is_strict:
         return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
                                notes="right operand is not a strict t-norm")
+    if not isinstance(S, TSubnorm):
+        return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
+                               notes="left operand has no generator")
     s, t = S.generator, T.generator
     u = np.unique(np.concatenate([
         np.geomspace(grid.epsilon_floor, 0.1, 6), grid.interior]))

@@ -27,10 +27,26 @@ from subnorms import (
     validate_generator,
 )
 from subnorms.operators import (
+    FamilySpec,
+    catalog,
+    dombi_sub_generator,
+    family_generator,
     hamacher0_generator,
     product_generator,
     rational_generator,
 )
+
+# the 51 family members that, with catalog(), form the 64-member extended catalog
+EXTENDED_SPECS = (
+    [FamilySpec(fam, {"a": a, "l": lam})
+     for fam in ("dombi_sub", "aa_sub", "log_sub")
+     for a in (0.2, 0.4, 0.8) for lam in (0.3, 0.7, 1.5, 3.0)]
+    + [FamilySpec("ss_sub", {"a": a, "l": lam})
+       for a in (0.2, 0.4, 0.8) for lam in (-0.5, -1.5, -4.0)]
+    + [FamilySpec("rational", {"a": a}) for a in (0.2, 0.4, 0.8)]
+    + [FamilySpec("aa_tnorm", {"l": lam}) for lam in (0.5, 1.5, 3.0)]
+)
+CATALOG_GENERATORS = [S.generator for S in catalog()]
 
 
 def bisect_oracle(fn, target, lo=0.0, hi=1.0, iters=100):
@@ -110,6 +126,73 @@ class TestInversion:
             assert ginvert(g, u) == pytest.approx(x, rel=1e-8, abs=1e-9)
 
 
+def numeric_twin(g, fn=None):
+    """The same generator with its closed inverse dropped: ginvert solves."""
+    return numeric_inverse(fn or g.fn, g.boundary_at_one, g.label, g.family, g.params)
+
+
+class TestNumericInversion:
+    """The bracket-then-polish solver against each closed-form inverse."""
+
+    TOL = DEFAULT_TOL.inversion_tol
+
+    def assert_agrees(self, g, u):
+        got = ginvert(numeric_twin(g), u)
+        np.testing.assert_allclose(got, ginvert(g, u), rtol=0, atol=self.TOL)
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
+    def test_log_and_uniform_targets(self, g):
+        xs = np.concatenate([np.geomspace(1e-12, 1.0, 400),
+                             np.linspace(0.0, 1.0, 401)[1:]])
+        s1 = g.boundary_at_one
+        just_above = s1 + max(1.0, s1) * np.array([1e-15, 1e-12, 1e-9, 1e-6])
+        self.assert_agrees(g, np.concatenate([geval(g, xs), just_above]))
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
+    def test_targets_on_table_nodes(self, g):
+        # dyadic points k/256 are nodes of the bracket table
+        xs = np.arange(1, 257) / 256.0
+        self.assert_agrees(g, geval(g, xs))
+        assert ginvert(numeric_twin(g), geval(g, 0.375)) == pytest.approx(
+            0.375, abs=self.TOL)
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
+    def test_roots_below_twice_the_tolerance(self, g):
+        xs = np.array([1e-14, 1e-13, 4e-13, 9e-13])
+        self.assert_agrees(g, geval(g, xs))
+
+    def test_chunked_targets(self):
+        g = hamacher0_generator()
+        xs = np.random.default_rng(3).uniform(0.0, 1.0, 40_000)
+        self.assert_agrees(g, geval(g, xs))
+
+    def test_overflow_to_inf(self):
+        # s overflows to inf on (0, ~0.0014): brackets with s(a) = inf
+        fn = lambda x: np.exp(1.0 / x) - math.e
+        g = numeric_inverse(fn, 0.0, "steep")
+        u = np.array([1e-3, 10.0, 1e100, 1e300])
+        np.testing.assert_allclose(ginvert(g, u), 1.0 / np.log(u + math.e),
+                                   rtol=1e-12, atol=self.TOL)
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
+    def test_solver_cost(self, g):
+        # a plain bisection from [0, 1] would need about 42 evaluations of s
+        calls = 0
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return g.fn(x)
+
+        xs = np.concatenate([np.geomspace(1e-12, 1.0, 5000),
+                             np.random.default_rng(0).uniform(0.0, 1.0, 5000),
+                             1.0 - np.geomspace(1e-15, 1e-2, 1000)])
+        u = np.maximum(geval(g, xs), g.boundary_at_one)
+        got = ginvert(numeric_twin(g, counted), u)
+        np.testing.assert_allclose(got, ginvert(g, u), rtol=0, atol=self.TOL)
+        assert calls <= 16
+
+
 class TestNormalization:
     def test_boundary_becomes_one(self):
         g = rational_generator(0.7)  # already normalized
@@ -171,6 +254,16 @@ class TestValidation:
                         lambda u: 1.0 / u, 7.0, "mislabeled")
         with pytest.raises(GeneratorValidationError):
             validate_generator(g)
+
+    def test_overflow_plateau_rejected(self):
+        # s = inf on (0, ~0.21): inf - inf differences are NaN and compare false
+        with pytest.raises(GeneratorValidationError):
+            validate_generator(dombi_sub_generator(0.6, 300.0))
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS + [
+        family_generator(spec) for spec in EXTENDED_SPECS], ids=lambda g: g.label)
+    def test_extended_catalog_validates(self, g):
+        validate_generator(g)
 
     def test_discontinuous_rule_rejected(self):
         # downward jump placed just past a sampled point so the continuity

@@ -238,6 +238,12 @@ class TestStrictTnormDominance:
         assert rep.details["c"] == pytest.approx(1.0, rel=1e-9)
         assert logarithmic_equality_test(A, P, GRID).verdict == FAILS
 
+    def test_fixture_left_operand_not_applicable(self):
+        P = make_family(FamilySpec("product"))
+        L = lukasiewicz_fixture()
+        assert strict_dominance_test(L, P, GRID).verdict == NOT_APPLICABLE
+        assert logarithmic_equality_test(L, P, GRID).verdict == NOT_APPLICABLE
+
 
 class TestGuards:
     def test_nilpotent_guard_yields_power_witness(self):
