@@ -20,6 +20,11 @@ from .ordering import (
     FAILS,
     HOLDS,
     NOT_APPLICABLE,
+    _concavity_gap,
+    _convexity_gap,
+    _midpoint,
+    _monotone_scan,
+    _pair_scan,
     direct_compare,
     dominated_or_equal,
     map_samples,
@@ -177,12 +182,11 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
 
     A_est = asymptotic_slope_A(m, grid, tol)
 
-    # midpoint convexity of phi
-    U, V = u[:, None], u[None, :]
-    PU, PV = phi[:, None], phi[None, :]
-    phimid = m((U + V) / 2.0) / ((U + V) / 2.0)
-    phi_convex = bool(np.all(phimid - (PU + PV) / 2.0
-                             <= margin * np.maximum(1.0, np.abs(PU) + np.abs(PV))))
+    # midpoint convexity of phi, with a slack relative to |phi|
+    phi_convex, _ = _pair_scan(
+        u, phi, lambda w: m(w) / w, _midpoint, _convexity_gap, margin,
+        allow=lambda mg, a, b: mg * np.maximum(1.0, np.abs(a) + np.abs(b)),
+        sanitize=False)
     out: dict[str, CriterionReport] = {}
 
     if phi_convex:
@@ -197,8 +201,7 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
             "section4_convex_profile", NOT_APPLICABLE,
             notes="phi not midpoint-convex on samples")
 
-    phi_noninc = bool(np.all(np.diff(phi)
-                             <= margin * np.maximum(1.0, np.abs(phi[:-1]))))
+    phi_noninc, _ = _monotone_scan(u, phi, margin, falling=False)
     phi_bounded = bool(np.all(np.isfinite(phi)))
     if phi_noninc and phi_bounded:
         B = float(np.max(phi))
@@ -213,10 +216,10 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
             "section4_monotone_profile", NOT_APPLICABLE,
             notes="phi not non-increasing and bounded")
 
-    HU, HV = hu[:, None], hu[None, :]
-    hmid = m((U + V) / 2.0)
-    h_concave = bool(np.all((HU + HV) / 2.0 - hmid
-                            <= margin + 1e-9 * (np.abs(HU) + np.abs(HV))))
+    h_concave, _ = _pair_scan(
+        u, hu, m, _midpoint, _concavity_gap, margin,
+        allow=lambda mg, a, b: mg + 1e-9 * (np.abs(a) + np.abs(b)),
+        sanitize=False)
     sup_phi = float(np.max(phi))
     if h_concave and sup_phi <= 1.0 + margin:
         A = A_est.value if math.isfinite(A_est.value) else 0.0

@@ -99,6 +99,12 @@ def _operator(text: str, tol: ToleranceProfile):
     return make_family(parse_operator_spec(text), tol)
 
 
+def _check_criterion(name: str | None) -> None:
+    if name is not None and name not in CRITERION_NAMES:
+        raise SpecSyntaxError(
+            f"unknown criterion {name!r}; known: {', '.join(CRITERION_NAMES)}")
+
+
 def cmd_eval(args) -> int:
     tol = parse_tol(args.tol)
     S = _operator(args.operator, tol)
@@ -111,10 +117,7 @@ def cmd_compare(args) -> int:
     tol = parse_tol(args.tol)
     S1 = _operator(args.lhs, tol)
     S2 = _operator(args.rhs, tol)
-    if args.criterion is not None and args.criterion not in CRITERION_NAMES:
-        raise SpecSyntaxError(
-            f"unknown criterion {args.criterion!r}; "
-            f"known: {', '.join(CRITERION_NAMES)}")
+    _check_criterion(args.criterion)
     grid = IntervalGrid.uniform(args.grid)
     verdict = compare(S1, S2, grid, tol, criterion=args.criterion)
     print(serialize_verdict(verdict))
@@ -128,10 +131,7 @@ def cmd_scan(args) -> int:
         lambdas = [float(v) for v in args.lambdas.split(",")]
     except ValueError:
         raise SpecSyntaxError(f"bad --lambdas list {args.lambdas!r}") from None
-    if args.criterion not in CRITERION_NAMES:
-        raise SpecSyntaxError(
-            f"unknown criterion {args.criterion!r}; "
-            f"known: {', '.join(CRITERION_NAMES)}")
+    _check_criterion(args.criterion)
     grid = IntervalGrid.uniform(args.grid)
     scan = family_monotonicity_scan(spec.family, spec.params, lambdas,
                                     args.criterion, grid, tol)

@@ -79,12 +79,7 @@ class Fixture:
         return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.any((x < 0) | (x > 1) | (y < 0) | (y > 1) | np.isnan(x) | np.isnan(y)):
-            raise DomainError("arguments outside the unit square")
-        out = self.fn(x, y)
-        return float(out) if out.ndim == 0 else out
+        return evaluate(self, x, y)
 
 
 Operator = TSubnorm | Fixture

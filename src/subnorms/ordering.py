@@ -59,9 +59,59 @@ def _slack(margin: float, *mags) -> np.ndarray:
     return margin + _NOISE * scale
 
 
-def _sanitize(res: np.ndarray) -> np.ndarray:
-    """inf - inf residuals are the exact infinity branch: trivially satisfied."""
-    return np.where(np.isnan(res), -np.inf, res)
+def _midpoint(a, b):
+    return (a + b) / 2.0
+
+
+# residuals r(f(c), f(u), f(v)) at the combined point c; positive entries violate
+def _excess(fc, fu, fv):  # f(c) <= f(u) + f(v)
+    return fc - fu - fv
+
+
+def _concavity_gap(fc, fu, fv):  # (f(u) + f(v))/2 <= f(c)
+    return _midpoint(fu, fv) - fc
+
+
+def _convexity_gap(fc, fu, fv):  # f(c) <= (f(u) + f(v))/2
+    return fc - _midpoint(fu, fv)
+
+
+def _pair_scan(u, fu, f, combine, residual, margin, allow=_slack,
+               sanitize=True) -> tuple[bool, tuple]:
+    """The pairwise criterion kernel over all sample pairs (u_i, u_j).
+
+    Checks residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) against
+    allow(margin, f(u_i), f(u_j)).  ``sanitize`` counts NaN (inf - inf)
+    residuals, the exact infinity branch, as trivially satisfied.  Returns
+    whether every pair passes and the witness (u_i, u_j, residual) at the
+    largest residual-minus-slack.
+    """
+    U, V = u[:, None], u[None, :]
+    FU, FV = fu[:, None], fu[None, :]
+    res = residual(f(combine(U, V)), FU, FV)
+    if sanitize:
+        res = np.where(np.isnan(res), -np.inf, res)
+    slack = allow(margin, FU, FV)
+    i, j = np.unravel_index(int(np.argmax(res - slack)), res.shape)
+    return bool(np.all(res <= slack)), (float(u[i]), float(u[j]), float(res[i, j]))
+
+
+def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
+    """Adjacent steps of r against its direction: decreases if ``falling``.
+
+    Each step may reach rel * max(1, |r|) at its left end.  Returns whether
+    every step passes and the witness (x_k, x_{k+1}, step) at the worst one.
+    """
+    steps = -np.diff(r) if falling else np.diff(r)
+    allow = rel * np.maximum(1.0, np.abs(r[:-1]))
+    k = int(np.argmax(steps - allow))
+    wc = (float(xs[k]), float(xs[k + 1]), float(steps[k]))
+    return not np.any(steps > allow), wc
+
+
+def _with_decades(grid: IntervalGrid, xs: np.ndarray) -> np.ndarray:
+    """xs plus six decade points from epsilon_floor to 0.1, sorted, unique."""
+    return np.unique(np.concatenate([np.geomspace(grid.epsilon_floor, 0.1, 6), xs]))
 
 
 @dataclass(frozen=True)
@@ -112,11 +162,7 @@ def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
     Fixture maps sample geometrically from the domain start.
     """
     if m.rhs is not None:
-        xs = np.unique(np.concatenate([
-            grid.points,
-            np.geomspace(grid.epsilon_floor, 0.1, 6),
-        ]))
-        u = geval(m.rhs, xs)
+        u = geval(m.rhs, _with_decades(grid, grid.points))
         u = u[np.isfinite(u)]
     else:
         u = m.domain_start + np.concatenate(
@@ -206,24 +252,19 @@ def dominated_or_equal(v: ComparisonVerdict) -> bool:
 # criteria on the composed map
 
 
+def _report(name: str, holds, wc: tuple, failure: str = "",
+            **details) -> CriterionReport:
+    """HOLDS, or FAILS noted with ``failure``; witness and details either way."""
+    return CriterionReport(name, HOLDS if holds else FAILS, wc,
+                           notes="" if holds else failure, details=details)
+
+
 def subadditivity_test(m: ComposedMap, grid: IntervalGrid,
                        tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """h(u+v) <= h(u) + h(v) over all sample pairs; exact iff S1 <= S2."""
     u = map_samples(m, grid)
-    hu = m(u)
-    U, V = u[:, None], u[None, :]
-    HU, HV = hu[:, None], hu[None, :]
-    huv = m(U + V)
-    res = _sanitize(huv - HU - HV)
-    allow = _slack(tol.verdict_margin, HU, HV)
-    bad = res > allow
-    worst = int(np.argmax(res - allow))
-    i, j = np.unravel_index(worst, res.shape)
-    wc = (float(u[i]), float(u[j]), float(res[i, j]))
-    if np.any(bad):
-        return CriterionReport("subadditivity_test", FAILS, wc,
-                               notes="superadditive pair found")
-    return CriterionReport("subadditivity_test", HOLDS, wc)
+    holds, wc = _pair_scan(u, m(u), m, np.add, _excess, tol.verdict_margin)
+    return _report("subadditivity_test", holds, wc, "superadditive pair found")
 
 
 def equality_test(m: ComposedMap, grid: IntervalGrid,
@@ -241,9 +282,7 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
     allow = tol.verdict_margin * np.maximum(1.0, np.abs(u))
     worst = int(np.argmax(res - allow))
     wc = (float(u[worst]), float(res[worst]))
-    if c > 0 and np.all(res <= allow):
-        return CriterionReport("equality_test", HOLDS, wc, details={"c": c})
-    return CriterionReport("equality_test", FAILS, wc, details={"c": c})
+    return _report("equality_test", c > 0 and np.all(res <= allow), wc, c=c)
 
 
 def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
@@ -256,14 +295,8 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
     """
     u = map_samples(m, grid)
     hu = m(u)
-    U, V = u[:, None], u[None, :]
-    HU, HV = hu[:, None], hu[None, :]
-    hmid = m((U + V) / 2.0)
-    res = _sanitize((HU + HV) / 2.0 - hmid)  # positive entries violate concavity
-    allow = _slack(tol.verdict_margin, HU, HV)
-    concave = bool(np.all(res <= allow))
-    i, j = np.unravel_index(int(np.argmax(res - allow)), res.shape)
-    wc = (float(u[i]), float(u[j]), float(res[i, j]))
+    concave, wc = _pair_scan(u, hu, m, _midpoint, _concavity_gap,
+                             tol.verdict_margin)
     details = {"midpoint_concave": concave, "upper_bound_ok": None}
     notes = ""
     side_ok = True
@@ -275,12 +308,8 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
             k = int(np.argmax(over))
             wc = (float(u[k]), float(over[k]))
             notes = "h(u) <= u fails (normalized-pair side condition)"
-    if concave and side_ok:
-        return CriterionReport("concavity_criterion", HOLDS, wc, details=details)
-    if not concave:
-        notes = notes or "midpoint concavity fails"
-    return CriterionReport("concavity_criterion", FAILS, wc, notes=notes,
-                           details=details)
+    return _report("concavity_criterion", concave and side_ok, wc,
+                   notes or "midpoint concavity fails", **details)
 
 
 def quasi_homogeneity_criterion(
@@ -290,11 +319,8 @@ def quasi_homogeneity_criterion(
     """Under convexity of h: h(t*x) <= t*h(x) for t >= 1 iff S1 <= S2."""
     u = map_samples(m, grid)
     hu = m(u)
-    U, V = u[:, None], u[None, :]
-    HU, HV = hu[:, None], hu[None, :]
-    hmid = m((U + V) / 2.0)
-    convex_res = _sanitize(hmid - (HU + HV) / 2.0)
-    if np.any(convex_res > _slack(tol.verdict_margin, HU, HV)):
+    convex, _ = _pair_scan(u, hu, m, _midpoint, _convexity_gap, tol.verdict_margin)
+    if not convex:
         return CriterionReport("quasi_homogeneity_criterion", NOT_APPLICABLE,
                                notes="h is not midpoint-convex on samples")
     worst_wc, worst_gap = None, -math.inf
@@ -307,25 +333,16 @@ def quasi_homogeneity_criterion(
         if gap > worst_gap:
             k = int(np.argmax(res - allow))
             worst_gap, worst_wc = gap, (t, float(u[k]), float(res[k]))
-    if worst_gap > 0:
-        return CriterionReport("quasi_homogeneity_criterion", FAILS, worst_wc)
-    return CriterionReport("quasi_homogeneity_criterion", HOLDS, worst_wc)
+    return _report("quasi_homogeneity_criterion", worst_gap <= 0, worst_wc)
 
 
 def ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
                     tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """s1/s2 non-decreasing on (0,1) forces S1 <= S2 (sufficient only)."""
-    xs = np.unique(np.concatenate([
-        np.geomspace(grid.epsilon_floor, 0.1, 6), grid.interior]))
-    r = geval(s1, xs) / geval(s2, xs)
-    drops = -np.diff(r)  # positive entries are decreases
-    allow = tol.verdict_margin * np.maximum(1.0, np.abs(r[:-1]))
-    k = int(np.argmax(drops - allow))
-    wc = (float(xs[k]), float(xs[k + 1]), float(drops[k]))
-    if np.any(drops > allow):
-        return CriterionReport("ratio_criterion", FAILS, wc,
-                               notes="generator ratio decreases")
-    return CriterionReport("ratio_criterion", HOLDS, wc)
+    xs = _with_decades(grid, grid.interior)
+    holds, wc = _monotone_scan(xs, geval(s1, xs) / geval(s2, xs),
+                               tol.verdict_margin, falling=True)
+    return _report("ratio_criterion", holds, wc, "generator ratio decreases")
 
 
 def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
@@ -336,15 +353,8 @@ def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
     if u.size < 2:
         return CriterionReport("ratio_profile_criterion", NOT_APPLICABLE,
                                notes="not enough positive samples")
-    phi = m(u) / u
-    rises = np.diff(phi)
-    allow = tol.verdict_margin * np.maximum(1.0, np.abs(phi[:-1]))
-    k = int(np.argmax(rises - allow))
-    wc = (float(u[k]), float(u[k + 1]), float(rises[k]))
-    if np.any(rises > allow):
-        return CriterionReport("ratio_profile_criterion", FAILS, wc,
-                               notes="profile increases")
-    return CriterionReport("ratio_profile_criterion", HOLDS, wc)
+    holds, wc = _monotone_scan(u, m(u) / u, tol.verdict_margin, falling=False)
+    return _report("ratio_profile_criterion", holds, wc, "profile increases")
 
 
 def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
@@ -354,23 +364,15 @@ def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
     xs = grid.points[(grid.points >= lo) & (grid.points <= 1 - 1e-4)]
     if xs.size < 3:
         xs = np.linspace(0.05, 0.95, 19)
-    try:
-        d1 = np.array([derivative(s1, float(x), tol) for x in xs])
-        d2 = np.array([derivative(s2, float(x), tol) for x in xs])
-    except Exception as exc:  # endpoint differentiation failure
-        return CriterionReport("derivative_ratio_criterion", NOT_APPLICABLE,
-                               notes=f"differentiation failed: {exc}")
+    d1 = np.array([derivative(s1, float(x), tol) for x in xs])
+    d2 = np.array([derivative(s2, float(x), tol) for x in xs])
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
             and np.all(d2 != 0)):
         return CriterionReport("derivative_ratio_criterion", NOT_APPLICABLE,
                                notes="non-finite derivative samples")
-    r = d1 / d2
-    drops = -np.diff(r)
     # finite differences carry more noise than closed forms; widen the slack
-    allow = 1e-4 * np.maximum(1.0, np.abs(r[:-1]))
-    k = int(np.argmax(drops - allow))
-    wc = (float(xs[k]), float(xs[k + 1]), float(drops[k]))
-    if np.any(drops > allow):
+    holds, wc = _monotone_scan(xs, d1 / d2, 1e-4, falling=True)
+    if not holds:
         return CriterionReport("derivative_ratio_criterion", FAILS, wc,
                                notes="derivative ratio decreases")
     both_norm = (s1.boundary_at_one == 1.0 and s2.boundary_at_one == 1.0)
@@ -409,20 +411,12 @@ def strict_dominance_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
                                notes="left operand is not proper")
     s = normalize(S.generator)
     t = T.generator
-    u = np.unique(np.concatenate([
-        np.geomspace(grid.epsilon_floor, 0.1, 6), grid.points]))
-    g = _product_transport(s, t, u, tol)
-    U, V = u[:, None], u[None, :]
-    GU, GV = g[:, None], g[None, :]
-    guv = _product_transport(s, t, U * V, tol)
-    res = _sanitize(guv - GU - GV)
-    allow = _slack(tol.verdict_margin, GU, GV)
-    i, j = np.unravel_index(int(np.argmax(res - allow)), res.shape)
-    wc = (float(u[i]), float(u[j]), float(res[i, j]))
-    if np.any(res > allow):
-        return CriterionReport("strict_dominance_test", FAILS, wc,
-                               notes="submultiplicative-additivity fails")
-    return CriterionReport("strict_dominance_test", HOLDS, wc)
+    u = _with_decades(grid, grid.points)
+    holds, wc = _pair_scan(u, _product_transport(s, t, u, tol),
+                           lambda w: _product_transport(s, t, w, tol),
+                           np.multiply, _excess, tol.verdict_margin)
+    return _report("strict_dominance_test", holds, wc,
+                   "submultiplicative-additivity fails")
 
 
 def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
@@ -435,8 +429,7 @@ def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
         return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
                                notes="left operand has no generator")
     s, t = S.generator, T.generator
-    u = np.unique(np.concatenate([
-        np.geomspace(grid.epsilon_floor, 0.1, 6), grid.interior]))
+    u = _with_decades(grid, grid.interior)
     g = _product_transport(s, t, u, tol)
     u0 = float(np.median(u))
     c = float(_product_transport(s, t, np.asarray(u0), tol)) / (-math.log(u0))
@@ -445,11 +438,8 @@ def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
     allow = tol.verdict_margin * np.maximum(1.0, np.abs(lnu))
     k = int(np.argmax(res - allow))
     wc = (float(u[k]), float(res[k]))
-    if c > 0 and np.all(res <= allow):
-        return CriterionReport("logarithmic_equality_test", HOLDS, wc,
-                               details={"c": c})
-    return CriterionReport("logarithmic_equality_test", FAILS, wc,
-                           details={"c": c}, notes="g is not logarithmic")
+    return _report("logarithmic_equality_test", c > 0 and np.all(res <= allow),
+                   wc, "g is not logarithmic", c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -523,34 +513,40 @@ def _section3_generator(S: TSubnorm) -> Generator:
     return normalize(g) if g.boundary_at_one > 0 else g
 
 
+def _on_generators(test):
+    def run(S1, S2, grid, tol):
+        return test(_section3_generator(S1), _section3_generator(S2), grid, tol=tol)
+    return run
+
+
+def _on_map(test):
+    def run(S1, S2, grid, tol):
+        m = compose(_section3_generator(S1), _section3_generator(S2), tol)
+        return test(m, grid, tol=tol)
+    return run
+
+
+# criterion name -> runner(S1, S2, grid, tol) for the claim S1 <= S2 (or S1 = S2)
+_CRITERIA = {
+    "subadditivity": _on_map(subadditivity_test),
+    "equality": _on_map(equality_test),
+    "concavity": _on_map(concavity_criterion),
+    "quasi_homogeneity": _on_map(quasi_homogeneity_criterion),
+    "ratio": _on_generators(ratio_criterion),
+    "ratio_profile": _on_map(ratio_profile_criterion),
+    "derivative_ratio": _on_generators(derivative_ratio_criterion),
+    "strict_dominance": strict_dominance_test,
+    "logarithmic_equality": logarithmic_equality_test,
+}
+CRITERION_NAMES = tuple(_CRITERIA)
+
+
 def run_criterion(name: str, S1: TSubnorm, S2: TSubnorm, grid: IntervalGrid,
                   tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """Run a named order criterion for the claim S1 <= S2 (or S1 = S2)."""
-    s1, s2 = _section3_generator(S1), _section3_generator(S2)
-    m = compose(s1, s2, tol)
-    if name == "subadditivity":
-        return subadditivity_test(m, grid, tol)
-    if name == "equality":
-        return equality_test(m, grid, tol)
-    if name == "concavity":
-        return concavity_criterion(m, grid, tol)
-    if name == "quasi_homogeneity":
-        return quasi_homogeneity_criterion(m, grid, tol=tol)
-    if name == "ratio":
-        return ratio_criterion(s1, s2, grid, tol)
-    if name == "ratio_profile":
-        return ratio_profile_criterion(m, grid, tol)
-    if name == "derivative_ratio":
-        return derivative_ratio_criterion(s1, s2, grid, tol)
-    if name == "strict_dominance":
-        return strict_dominance_test(S1, S2, grid, tol)
-    if name == "logarithmic_equality":
-        return logarithmic_equality_test(S1, S2, grid, tol)
-    raise ParameterError(f"unknown criterion {name!r}")
-
-CRITERION_NAMES = ("subadditivity", "equality", "concavity", "quasi_homogeneity",
-                   "ratio", "ratio_profile", "derivative_ratio",
-                   "strict_dominance", "logarithmic_equality")
+    if name not in _CRITERIA:
+        raise ParameterError(f"unknown criterion {name!r}")
+    return _CRITERIA[name](S1, S2, grid, tol)
 
 
 def family_monotonicity_scan(family: str, fixed_params: dict,

@@ -124,6 +124,11 @@ class TestScan:
                      "--criterion", "ratio"]) == EXIT_PARSE
         capsys.readouterr()
 
+    def test_unknown_criterion(self, capsys):
+        assert main(["scan", "dombi:a=0.6", "--lambdas", "0.5,1",
+                     "--criterion", "nope"]) == EXIT_PARSE
+        assert "unknown criterion 'nope'" in capsys.readouterr().err
+
 
 class TestSurface:
     def test_corner_values_and_shape(self, capsys):

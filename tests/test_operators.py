@@ -213,6 +213,15 @@ class TestEvaluate:
             evaluate(S, 1.2, 0.5)
         with pytest.raises(DomainError):
             evaluate(S, math.nan, 0.5)
+        # a fixture called directly goes through the same checks as evaluate
+        luka = lukasiewicz_fixture()
+        for call in (luka, lambda x, y: evaluate(luka, x, y)):
+            for x, y in ((1.2, 0.5), (0.5, -0.1)):
+                with pytest.raises(DomainError, match="outside the unit square"):
+                    call(x, y)
+            with pytest.raises(DomainError, match="NaN argument"):
+                call(math.nan, 0.5)
+        assert luka(0.5, 0.75) == pytest.approx(0.25)
 
     def test_vector_evaluation(self):
         S = make_family(FamilySpec("product"))

@@ -35,6 +35,7 @@ from subnorms import (
 )
 from subnorms.ordering import (
     CRITERION_NAMES,
+    CriterionReport,
     DOMINATED,
     DOMINATES,
     EQUAL,
@@ -304,6 +305,27 @@ class TestScansAndCompare:
         v = compare(S1, S2, GRID, criterion="subadditivity")
         assert v.relation == DOMINATED
         assert v.criterion == "subadditivity:holds"
+
+    @pytest.mark.parametrize("name", CRITERION_NAMES)
+    def test_registry_dispatches_every_name(self, name):
+        report_names = {
+            "subadditivity": "subadditivity_test",
+            "equality": "equality_test",
+            "concavity": "concavity_criterion",
+            "quasi_homogeneity": "quasi_homogeneity_criterion",
+            "ratio": "ratio_criterion",
+            "ratio_profile": "ratio_profile_criterion",
+            "derivative_ratio": "derivative_ratio_criterion",
+            "strict_dominance": "strict_dominance_test",
+            "logarithmic_equality": "logarithmic_equality_test",
+        }
+        # the CLI help text and error messages print this tuple in this order
+        assert CRITERION_NAMES == tuple(report_names)
+        P = make_family(FamilySpec("product"))
+        H = make_family(FamilySpec("hamacher0"))
+        rep = run_criterion(name, P, H, GRID)
+        assert isinstance(rep, CriterionReport)
+        assert rep.criterion == report_names[name]
 
     def test_unknown_criterion_rejected(self):
         S = make_family(FamilySpec("product"))
