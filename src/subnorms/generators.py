@@ -12,17 +12,13 @@ every finite value, which is precisely the arithmetic the codomain needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 INF = math.inf
-
-# kind tags
-CLOSED_INVERSE = "closed_form_with_closed_inverse"
-NUMERIC_INVERSE = "closed_form_numeric_inverse"
 
 
 class DomainError(ValueError):
@@ -107,15 +103,14 @@ class Generator:
     """An additive generator s : [0,1] -> [s(1), inf].
 
     ``fn`` evaluates s on (0,1] (vectorized over numpy arrays); x = 0 maps to
-    inf in :func:`geval` regardless of what ``fn`` does there.  When ``kind``
-    is CLOSED_INVERSE, ``inverse_fn`` must map [s(1), inf] back to [0,1] and
-    tolerate ``inf`` (returning 0).
+    inf in :func:`geval` regardless of what ``fn`` does there.  When given,
+    ``inverse_fn`` must map [s(1), inf] back to [0,1] and tolerate ``inf``
+    (returning 0); without it :func:`ginvert` solves s(x) = u numerically.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     boundary_at_one: float
     label: str
-    kind: str = CLOSED_INVERSE
     inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
     family: str | None = None
     params: tuple = ()
@@ -123,8 +118,6 @@ class Generator:
     def __post_init__(self):
         if self.boundary_at_one < 0 or not math.isfinite(self.boundary_at_one):
             raise ParameterError("boundary_at_one must be finite and >= 0")
-        if self.kind == CLOSED_INVERSE and self.inverse_fn is None:
-            raise ParameterError("closed-inverse generator requires inverse_fn")
 
     def spec_record(self) -> str:
         """Serializable text record: label, family, parameters."""
@@ -260,7 +253,7 @@ def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
 def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
     """Invert s on its range [s(1), inf]; u = inf maps to 0.
 
-    Closed inverses are evaluated directly; a NUMERIC_INVERSE generator is
+    A closed ``inverse_fn`` is evaluated directly; without one, s(x) = u is
     solved to within inversion_tol / 2 by a bracketed root finder.
     """
     arr = np.asarray(u, dtype=float)
@@ -275,7 +268,7 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
     out = np.zeros(arr.shape)
     fin = np.isfinite(arr)
     if np.any(fin):
-        if g.kind == CLOSED_INVERSE:
+        if g.inverse_fn is not None:
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 vals = np.asarray(g.inverse_fn(arr[fin]), dtype=float)
             out[fin] = np.clip(np.where(np.isnan(vals), 0.0, vals), 0.0, 1.0)
@@ -317,7 +310,6 @@ def normalize(g: Generator) -> Generator:
         fn=lambda x, _f=g.fn, _c=c: _f(x) / _c,
         boundary_at_one=1.0,
         label=f"{g.label}/norm",
-        kind=g.kind,
         inverse_fn=inv,
         family=g.family,
         params=g.params,
@@ -343,7 +335,6 @@ def affine_shift(g: Generator, c: float, b: float) -> Generator:
         fn=lambda x, _f=g.fn, _c=c, _b=b: _c * _f(x) + _b,
         boundary_at_one=new_boundary,
         label=f"{c:g}*{g.label}+{b:g}",
-        kind=g.kind,
         inverse_fn=inv,
         family=g.family,
         params=g.params,
@@ -407,8 +398,7 @@ def validate_generator(g: Generator, grid: IntervalGrid | None = None,
 def closed_form(fn, inverse_fn, boundary_at_one, label, family=None, params=()):
     """Shorthand for a generator with both directions in closed form."""
     return Generator(fn=fn, inverse_fn=inverse_fn, boundary_at_one=boundary_at_one,
-                     label=label, kind=CLOSED_INVERSE, family=family,
-                     params=tuple(params))
+                     label=label, family=family, params=tuple(params))
 
 
 def numeric_inverse(fn, boundary_at_one, label, family=None, params=()):
@@ -418,5 +408,4 @@ def numeric_inverse(fn, boundary_at_one, label, family=None, params=()):
     polishes with safeguarded Illinois steps to within inversion_tol / 2.
     """
     return Generator(fn=fn, inverse_fn=None, boundary_at_one=boundary_at_one,
-                     label=label, kind=NUMERIC_INVERSE, family=family,
-                     params=tuple(params))
+                     label=label, family=family, params=tuple(params))

@@ -509,6 +509,8 @@ def proper_never_dominates_tnorm_check(
 
 def _section3_generator(S: TSubnorm) -> Generator:
     """The generator used by criteria: normalized for proper subnorms."""
+    if not isinstance(S, TSubnorm):
+        raise ParameterError("named criteria need generator-backed operands")
     g = S.generator
     return normalize(g) if g.boundary_at_one > 0 else g
 

@@ -1,220 +1,22 @@
-"""Acceptance gate: the ten end-to-end criteria at their stated tolerances."""
+"""Acceptance gate: every paper check in ``verify.CHECKS``, plus the cold CLI run.
 
-import math
+The worked-example assertions live in :mod:`subnorms.verify` only; a failing
+check raises ``CheckFailure`` (an ``AssertionError``) with its message.
+"""
+
 import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
-from subnorms import (
-    FamilySpec,
-    IntervalGrid,
-    catalog,
-    check_axioms,
-    complete_to_tnorm,
-    compose,
-    concavity_criterion,
-    direct_compare,
-    linear_envelope_check,
-    lukasiewicz_fixture,
-    make_family,
-    nilpotent_guard,
-    normalize,
-    proper_never_dominates_tnorm_check,
-    ratio_criterion,
-    small_slope_B,
-    strict_dominance_test,
-    subadditivity_test,
-    yager_fixture,
-)
-from subnorms.asymptotics import asymptotic_slope_A
-from subnorms.generators import CLOSED_INVERSE, DEFAULT_TOL, geval, ginvert
-from subnorms.operators import from_generator
-from subnorms.ordering import (
-    DOMINATED,
-    DOMINATES,
-    EQUAL,
-    FAILS,
-    HOLDS,
-    dominated_or_equal,
-    run_criterion,
-)
-from subnorms.verify import psi_shifted_generator, remark_fixture_maps
-
-SQRT13 = math.sqrt(13.0)
+from subnorms import verify
 
 
-def test_criterion_1_strict_pair_values_and_verdict():
-    start = time.perf_counter()
-    T1 = make_family(FamilySpec("hamacher0"))
-    T2 = make_family(FamilySpec("reciprocal_minus_x"))
-    assert abs(T1(0.5, 0.5) - 1.0 / 3.0) <= 1e-9
-    assert abs(T2(0.5, 0.5) - (SQRT13 - 3.0) / 2.0) <= 1e-9
-
-    grid = IntervalGrid.uniform(201)
-    verdict = direct_compare(T1, T2, grid)
-    assert verdict.relation == DOMINATES  # strict somewhere, never below
-    assert T1(0.5, 0.5) - T2(0.5, 0.5) > 1e-6
-
-    # T2 <= T1 certified by the non-decreasing generator ratio 1 + x
-    rep = ratio_criterion(T2.generator, T1.generator, grid)
-    assert rep.verdict == HOLDS
-    xs = np.linspace(0.05, 0.95, 20)
-    ratio = geval(T2.generator, xs) / geval(T1.generator, xs)
-    np.testing.assert_allclose(ratio, 1.0 + xs, atol=1e-9)
-    assert time.perf_counter() - start < 1.0
-
-
-def test_criterion_2_subadditive_trio():
-    start = time.perf_counter()
-    grid = IntervalGrid.uniform(101)
-    P = make_family(FamilySpec("product"))
-    H = make_family(FamilySpec("hamacher0"))
-    HP = make_family(FamilySpec("half_product"))
-    R5 = make_family(FamilySpec("rational", {"a": 0.5}))
-    R7 = make_family(FamilySpec("rational", {"a": 0.7}))
-
-    u = np.linspace(0.01, 60.0, 50)
-    m1 = compose(P.generator, H.generator)
-    assert float(np.max(np.abs(m1(u) - np.log(u + 1.0)))) <= 1e-9
-    assert subadditivity_test(m1, grid).verdict == HOLDS
-    assert dominated_or_equal(direct_compare(P, H, grid))
-
-    m2 = compose(normalize(HP.generator), H.generator)
-    assert subadditivity_test(m2, grid).verdict == HOLDS
-    assert dominated_or_equal(direct_compare(HP, H, grid))
-
-    u3 = np.linspace(1.0, 60.0, 50)
-    m3 = compose(R5.generator, R7.generator)
-    assert float(np.max(np.abs(m3(u3) - (3.0 * u3 + 2.0) / 5.0))) <= 1e-9
-    assert subadditivity_test(m3, grid).verdict == HOLDS
-    assert dominated_or_equal(direct_compare(R5, R7, grid))
-    assert time.perf_counter() - start < 2.0
-
-
-def test_criterion_3_oracle_equivalence_full_matrix():
-    start = time.perf_counter()
-    grid = IntervalGrid.uniform(101)
-    members = catalog()
-    assert len(members) >= 10
-    for S1 in members:
-        for S2 in members:
-            if S1 is S2:
-                continue
-            certified = run_criterion("subadditivity", S1, S2, grid).verdict
-            oracle = direct_compare(S1, S2, grid)
-            assert (certified == HOLDS) == dominated_or_equal(oracle), \
-                (S1.label, S2.label, certified, oracle.relation)
-    assert time.perf_counter() - start < 30.0
-
-
-@pytest.mark.parametrize("family,fixed,lambdas,criterion,expected", [
-    ("dombi_sub", {"a": 0.6}, [0.5, 1.0, 2.0, 4.0], "concavity", "increasing"),
-    ("ss_sub", {"a": 0.5}, [-3.0, -2.0, -1.0], "derivative_ratio", "decreasing"),
-    ("log_sub", {"a": 0.5}, [1.0, 2.0], "ratio", "increasing"),
-])
-def test_criterion_4_family_monotonicity(family, fixed, lambdas, criterion,
-                                         expected):
-    from subnorms import family_monotonicity_scan
-    grid = IntervalGrid.uniform(101)
-    scan = family_monotonicity_scan(family, fixed, lambdas, criterion, grid)
-    assert scan["chain"] == expected
-    for step in scan["steps"]:
-        assert step["agree"], step["pair"]
-        assert step["oracle"].relation in (DOMINATED, DOMINATES)
-        x, y, lhs, rhs = step["oracle"].witnesses[0]
-        assert abs(lhs - rhs) > 1e-6  # strict witness
-
-
-def test_criterion_5_converse_failure_fixtures():
-    grid = IntervalGrid.uniform(101)
-    s1, s2 = psi_shifted_generator()
-    assert subadditivity_test(compose(s1, s2), grid).verdict == HOLDS
-    rep = ratio_criterion(s1, s2, grid)
-    assert rep.verdict == FAILS
-    lo = 2.0 / (math.sqrt(2.0) + 1.0)  # s2^{-1}(sqrt 2)
-    assert lo - 0.02 <= rep.worst_case[0] <= 1.0
-
-    fixtures, f1 = remark_fixture_maps()
-    for m in [f1] + fixtures:
-        assert concavity_criterion(m, grid).details["midpoint_concave"], m.label
-        rep = subadditivity_test(m, grid)
-        assert rep.verdict == FAILS, m.label
-        u, v, residual = rep.worst_case
-        assert residual > 1e-6
-        assert float(m(u + v)) - float(m(u)) - float(m(v)) > 1e-6
-
-
-def test_criterion_6_growth_numbers():
-    grid = IntervalGrid.uniform(101)
-    P = make_family(FamilySpec("product"))
-    H = make_family(FamilySpec("hamacher0"))
-    m1 = compose(P.generator, H.generator)
-    A1 = asymptotic_slope_A(m1, grid)
-    B1 = small_slope_B(m1, grid)
-    assert A1.converged and abs(A1.value - 0.0) <= 1e-3
-    assert B1.converged and abs(B1.value - 1.0) <= 1e-3
-    assert abs(A1.value - A1.sample_infimum) <= 1e-3
-    assert linear_envelope_check(m1, 0.0, 1.0, grid).verdict == HOLDS
-
-    R5 = make_family(FamilySpec("rational", {"a": 0.5}))
-    R7 = make_family(FamilySpec("rational", {"a": 0.7}))
-    m2 = compose(R5.generator, R7.generator)
-    A2 = asymptotic_slope_A(m2, grid)
-    assert A2.converged and abs(A2.value - 0.6) <= 1e-3 * 0.6
-    assert abs(A2.value - A2.sample_infimum) <= 1e-3 * 0.6
-    assert linear_envelope_check(m2, 0.6, 1.0, grid).verdict == HOLDS
-
-
-def test_criterion_7_guards():
-    grid = IntervalGrid.uniform(41)
-    members = catalog()
-    for S in members:
-        for T in (lukasiewicz_fixture(), yager_fixture(2.0)):
-            rep = nilpotent_guard(S, T, grid)
-            assert rep.verdict == FAILS, (S.label, T.label)
-            assert rep.details["s_power"] > 0
-    stricts = [S for S in members if S.is_strict]
-    propers = [S for S in members if S.is_proper]
-    assert stricts and propers
-    for S in propers:
-        for T in stricts:
-            rep = proper_never_dominates_tnorm_check(S, T, grid)
-            assert rep.verdict == HOLDS, (S.label, T.label)
-
-
-def test_criterion_8_structural_properties():
-    grid = IntervalGrid.uniform(21)
-    for S in catalog():
-        report = check_axioms(S, grid)
-        assert report.all_pass, S.label
-        bound = 1e-9 if S.generator.kind == CLOSED_INVERSE else 1e-6
-        assert report.associative.residual <= bound, S.label
-
-        T = complete_to_tnorm(S)
-        neutral_gap = np.abs(T.surface(grid.points, np.asarray(1.0)) - grid.points)
-        assert float(np.max(neutral_gap)) <= 1e-9, S.label
-
-        if S.is_proper:
-            Sn = from_generator(normalize(S.generator))
-            X, Y = grid.points[:, None], grid.points[None, :]
-            sup_diff = float(np.max(np.abs(S.surface(X, Y) - Sn.surface(X, Y))))
-            assert sup_diff <= 1e-9, S.label
-
-
-def test_criterion_9_strict_dominance_replay():
-    grid = IntervalGrid.uniform(101)
-    HP = make_family(FamilySpec("half_product"))
-    H = make_family(FamilySpec("hamacher0"))
-    s, t = normalize(HP.generator), H.generator
-    u = np.linspace(0.02, 1.0, 50)
-    g = geval(s, ginvert(t, -np.log(u), DEFAULT_TOL))
-    expected = 1.0 + np.log(1.0 - np.log(u)) / math.log(2.0)
-    assert float(np.max(np.abs(g - expected))) <= 1e-9
-    assert strict_dominance_test(HP, H, grid).verdict == HOLDS
-    assert dominated_or_equal(direct_compare(HP, H, grid))
+@pytest.mark.parametrize("name, check", verify.CHECKS,
+                         ids=[name for name, _ in verify.CHECKS])
+def test_paper_check(name, check):
+    check()
 
 
 def test_criterion_10_verify_paper_cli():
@@ -224,4 +26,5 @@ def test_criterion_10_verify_paper_cli():
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS ") == 9
+    assert "FAIL" not in proc.stdout
     assert elapsed < 120.0

@@ -11,6 +11,7 @@ from subnorms import (
     DEFAULT_TOL,
     INF,
     DomainError,
+    Generator,
     GeneratorValidationError,
     IntervalGrid,
     NormalizationError,
@@ -173,6 +174,14 @@ class TestNumericInversion:
         u = np.array([1e-3, 10.0, 1e100, 1e300])
         np.testing.assert_allclose(ginvert(g, u), 1.0 / np.log(u + math.e),
                                    rtol=1e-12, atol=self.TOL)
+
+    def test_generator_without_inverse_fn(self):
+        # no inverse_fn given: ginvert solves numerically, like numeric_inverse
+        g = hamacher0_generator()
+        plain = Generator(g.fn, g.boundary_at_one, "plain")
+        xs = np.linspace(0.0, 1.0, 101)[1:]
+        np.testing.assert_allclose(ginvert(plain, geval(g, xs)), xs,
+                                   rtol=0, atol=self.TOL)
 
     @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
     def test_solver_cost(self, g):
