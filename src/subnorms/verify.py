@@ -170,29 +170,36 @@ def check_matrix_equivalence() -> str:
     return f"{n * (n - 1)} ordered pairs agree ({elapsed:.2f}s)"
 
 
+FAMILY_CHAINS = [
+    ("dombi_sub", {"a": 0.6}, [0.5, 1.0, 2.0, 4.0], "concavity", "increasing"),
+    ("ss_sub", {"a": 0.5}, [-3.0, -2.0, -1.0], "derivative_ratio", "decreasing"),
+    ("log_sub", {"a": 0.5}, [1.0, 2.0], "ratio", "increasing"),
+]
+
+
+def check_family_chain(family, fixed, lambdas, criterion, expected):
+    """One row of ``FAMILY_CHAINS``: the chain direction, with strict witnesses."""
+    grid = IntervalGrid.uniform(101)
+    scan = family_monotonicity_scan(family, fixed, lambdas, criterion, grid)
+    _expect(scan["chain"] == expected,
+            f"{family}: chain {scan['chain']}, expected {expected}")
+    for step in scan["steps"]:
+        _expect(step["agree"], f"{family} step {step['pair']}: "
+                f"criterion {step['criterion'].verdict}")
+        w = step["oracle"].witnesses[0]
+        _expect(abs(w[2] - w[3]) > 1e-6,
+                f"{family} step {step['pair']}: witness not strict")
+
+
 def check_family_chains() -> str:
     """Dombi increasing, Schweizer-Sklar decreasing, log-power increasing."""
-    grid = IntervalGrid.uniform(101)
-    runs = [
-        ("dombi_sub", {"a": 0.6}, [0.5, 1.0, 2.0, 4.0], "concavity", "increasing"),
-        ("ss_sub", {"a": 0.5}, [-3.0, -2.0, -1.0], "derivative_ratio", "decreasing"),
-        ("log_sub", {"a": 0.5}, [1.0, 2.0], "ratio", "increasing"),
-    ]
-    for family, fixed, lams, crit, expected in runs:
-        scan = family_monotonicity_scan(family, fixed, lams, crit, grid)
-        _expect(scan["chain"] == expected,
-                f"{family}: chain {scan['chain']}, expected {expected}")
-        for step in scan["steps"]:
-            _expect(step["agree"], f"{family} step {step['pair']}: "
-                    f"criterion {step['criterion'].verdict}")
-            w = step["oracle"].witnesses[0]
-            _expect(abs(w[2] - w[3]) > 1e-6,
-                    f"{family} step {step['pair']}: witness not strict")
+    for row in FAMILY_CHAINS:
+        check_family_chain(*row)
     return "three chains certified with strict witnesses"
 
 
-def check_converse_fixtures() -> str:
-    """Sufficient criteria are not necessary: the documented counterexamples."""
+def check_psi_construction():
+    """psi o s2 gives a subadditive map whose generator ratio decreases."""
     grid = IntervalGrid.uniform(101)
     s1, s2 = psi_shifted_generator()
     m = compose(s1, s2)
@@ -204,6 +211,10 @@ def check_converse_fixtures() -> str:
     _expect(lo - 0.02 <= rep.worst_case[0] <= 1.0,
             f"decrease found at x = {rep.worst_case[0]}, expected in [{lo:.4f}, 1]")
 
+
+def check_remark_maps():
+    """The remark's maps are concave yet fail subadditivity at a checked pair."""
+    grid = IntervalGrid.uniform(101)
     others, f1 = remark_fixture_maps()
     for fm in [f1] + others:
         c = concavity_criterion(fm, grid)
@@ -215,6 +226,12 @@ def check_converse_fixtures() -> str:
         u, v, _ = s.worst_case
         gap = float(fm(u + v)) - float(fm(u)) - float(fm(v))
         _expect(gap > 1e-6, f"{fm.label}: m(u+v) - m(u) - m(v) = {gap} at ({u}, {v})")
+
+
+def check_converse_fixtures() -> str:
+    """Sufficient criteria are not necessary: the documented counterexamples."""
+    check_psi_construction()
+    check_remark_maps()
     return "psi passes subadd/fails ratio; f1,f2,f3 concave yet superadditive"
 
 

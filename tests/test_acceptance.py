@@ -1,5 +1,8 @@
 """Acceptance gate: every paper check in ``verify.CHECKS``, plus the cold CLI run.
 
+The numbered criteria 4, 5 and 9 call the same checks (criterion 4 once per
+row of ``verify.FAMILY_CHAINS``) under their own names.
+
 The worked-example assertions live in :mod:`subnorms.verify` only; a failing
 check raises ``CheckFailure`` (an ``AssertionError``) with its message.
 """
@@ -17,6 +20,21 @@ from subnorms import verify
                          ids=[name for name, _ in verify.CHECKS])
 def test_paper_check(name, check):
     check()
+
+
+@pytest.mark.parametrize("family, fixed, lambdas, criterion, expected",
+                         verify.FAMILY_CHAINS)
+def test_criterion_4_family_monotonicity(family, fixed, lambdas, criterion,
+                                         expected):
+    verify.check_family_chain(family, fixed, lambdas, criterion, expected)
+
+
+def test_criterion_5_converse_failure_fixtures():
+    verify.check_converse_fixtures()
+
+
+def test_criterion_9_strict_dominance_replay():
+    verify.check_product_isomorphism_replay()
 
 
 def test_criterion_10_verify_paper_cli():

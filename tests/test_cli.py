@@ -176,3 +176,11 @@ class TestSurface:
     def test_resolution_too_small(self, capsys):
         assert main(["surface", "product", "--resolution", "1"]) == EXIT_PARSE
         capsys.readouterr()
+
+
+class TestVerifyPaper:
+    def test_exit_zero_and_reports_each_item(self, capsys):
+        assert main(["verify-paper"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("PASS ") == 9
+        assert "FAIL" not in out

@@ -50,6 +50,7 @@ from subnorms.ordering import (
     serialize_verdict,
 )
 from subnorms.operators import Fixture
+from subnorms import verify
 from subnorms.verify import remark_fixture_maps
 
 GRID = IntervalGrid.uniform(101)
@@ -199,7 +200,20 @@ class TestSufficientCertificates:
             H.generator, R.generator, GRID).verdict == FAILS
 
 
+class TestConverseFailures:
+    def test_psi_construction(self):
+        verify.check_psi_construction()
+
+    def test_remark_maps_concave_but_superadditive(self):
+        verify.check_remark_maps()
+
+
 class TestStrictTnormDominance:
+    def test_half_product_below_hamacher(self):
+        HP = make_family(FamilySpec("half_product"))
+        H = make_family(FamilySpec("hamacher0"))
+        assert strict_dominance_test(HP, H, GRID).verdict == HOLDS
+
     def test_not_applicable_cases(self):
         P = make_family(FamilySpec("product"))
         HP = make_family(FamilySpec("half_product"))
@@ -247,7 +261,17 @@ class TestGuards:
         assert proper_never_dominates_tnorm_check(P, P, GRID).verdict == NOT_APPLICABLE
 
 
+def _chain_row(family):
+    return next(row for row in verify.FAMILY_CHAINS if row[0] == family)
+
+
 class TestScansAndCompare:
+    def test_dombi_chain_increasing(self):
+        verify.check_family_chain(*_chain_row("dombi_sub"))
+
+    def test_ss_chain_decreasing(self):
+        verify.check_family_chain(*_chain_row("ss_sub"))
+
     def test_scan_needs_two_lambdas(self):
         with pytest.raises(ParameterError):
             family_monotonicity_scan("log_sub", {"a": 0.5}, [1.0], "ratio", GRID)
