@@ -24,7 +24,7 @@ from .ordering import (
     _convexity_gap,
     _midpoint,
     _monotone_scan,
-    _pair_scan,
+    _worst,
     direct_compare,
     dominated_or_equal,
     map_samples,
@@ -62,15 +62,38 @@ def _classify(value: float) -> str:
     return SAME_ORDER
 
 
-def _probe_limit(pairs: list[tuple[float, float]]) -> tuple[float, bool]:
+def _probe_slope(ratio, grow_from: float | None = None,
+                 sample_infimum: float | None = None) -> SlopeEstimate:
+    """The limit of ratio(x) along x = 10^-k, or grow_from * 10^k, k = 1..12.
+
+    Any overflowed probe reports inf, not converged.
+    """
+    xs = ([10.0 ** -k for k in range(1, 13)] if grow_from is None
+          else [grow_from * 10.0 ** k for k in range(1, 13)])
+    pairs = [(x, ratio(x)) for x in xs]
     ratios = [r for _, r in pairs if math.isfinite(r)]
-    if len(ratios) < 2:
-        return INF, False
-    last, prev = ratios[-1], ratios[-2]
-    converged = abs(last - prev) <= _REL_TOL * max(1.0, abs(last))
-    if len(ratios) < len(pairs):  # some probes overflowed
-        return INF, False
-    return last, converged
+    value, converged = INF, False
+    if len(ratios) == len(pairs):
+        value = ratios[-1]
+        converged = abs(value - ratios[-2]) <= _REL_TOL * max(1.0, abs(value))
+    return SlopeEstimate(value=value, converged=converged, sequence=pairs,
+                         note=_classify(value), sample_infimum=sample_infimum)
+
+
+def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The positive map samples u and h(u), shared by the growth checks."""
+    u = map_samples(m, grid)
+    u = u[u > 0]
+    return u, m(u)
+
+
+def _slope_A(m: ComposedMap, u: np.ndarray, hu: np.ndarray) -> SlopeEstimate:
+    """A from its probes, with the infimum of h(u)/u over the profile (u, hu)."""
+    inf_phi = float(np.min(hu / u)) if u.size else None
+    if m.lhs is not None and m.rhs is not None:
+        return _probe_slope(lambda t: float(geval(m.lhs, t)) / float(geval(m.rhs, t)),
+                            sample_infimum=inf_phi)
+    return _probe_slope(lambda x: float(m(x)) / x, max(1.0, m.domain_start), inf_phi)
 
 
 def asymptotic_slope_A(m: ComposedMap, grid: IntervalGrid | None = None,
@@ -80,24 +103,7 @@ def asymptotic_slope_A(m: ComposedMap, grid: IntervalGrid | None = None,
     Fixture maps without generators probe h(x)/x directly at growing x.
     Divergence is reported as inf with converged=False, not an error.
     """
-    pairs = []
-    if m.lhs is not None and m.rhs is not None:
-        for k in range(1, 13):
-            t = 10.0 ** (-k)
-            ratio = float(geval(m.lhs, t)) / float(geval(m.rhs, t))
-            pairs.append((t, ratio))
-    else:
-        base = max(1.0, m.domain_start)
-        for k in range(1, 13):
-            x = base * 10.0 ** k
-            pairs.append((x, float(m(x)) / x))
-    value, converged = _probe_limit(pairs)
-    grid = grid or IntervalGrid.uniform(101)
-    u = map_samples(m, grid)
-    u = u[u > 0]
-    inf_phi = float(np.min(m(u) / u)) if u.size else None
-    return SlopeEstimate(value=value, converged=converged, sequence=pairs,
-                         note=_classify(value), sample_infimum=inf_phi)
+    return _slope_A(m, *_profile(m, grid or IntervalGrid.uniform(101)))
 
 
 def small_slope_B(m: ComposedMap, grid: IntervalGrid | None = None,
@@ -110,13 +116,7 @@ def small_slope_B(m: ComposedMap, grid: IntervalGrid | None = None,
     """
     grid = grid or IntervalGrid.uniform(101)
     if m.domain_start == 0.0:
-        pairs = []
-        for k in range(1, 13):
-            x = 10.0 ** (-k)
-            pairs.append((x, float(m(x)) / x))
-        value, converged = _probe_limit(pairs)
-        return SlopeEstimate(value=value, converged=converged, sequence=pairs,
-                             note=_classify(value))
+        return _probe_slope(lambda x: float(m(x)) / x)
     if m.both_normalized:
         u = map_samples(m, grid)
         u = u[u >= m.domain_start]
@@ -131,6 +131,19 @@ def small_slope_B(m: ComposedMap, grid: IntervalGrid | None = None,
                          note="not_applicable: mixed unnormalized pair")
 
 
+def _envelope(u: np.ndarray, hu: np.ndarray, A: float, B: float,
+              tol: ToleranceProfile) -> CriterionReport:
+    # positive residuals leave the envelope: below A*u or above B*u
+    holds, wc = _worst(np.maximum(A * u - hu, hu - B * u),
+                       tol.verdict_margin * np.maximum(1.0, u), u)
+    notes = ""
+    phi = hu / u
+    if phi[-1] > 10.0 * np.median(phi) and phi[-1] > phi[u.size // 2]:
+        notes = "h(x)/x unbounded on samples; h itself is unbounded"
+    return CriterionReport("linear_envelope_check", HOLDS if holds else FAILS, wc,
+                           notes=notes)
+
+
 def linear_envelope_check(m: ComposedMap, A: float, B: float,
                           grid: IntervalGrid,
                           tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
@@ -138,22 +151,7 @@ def linear_envelope_check(m: ComposedMap, A: float, B: float,
     if not (A <= B and math.isfinite(A) and math.isfinite(B)):
         return CriterionReport("linear_envelope_check", NOT_APPLICABLE,
                                notes="need finite A <= B")
-    u = map_samples(m, grid)
-    u = u[u > 0]
-    hu = m(u)
-    allow = tol.verdict_margin * np.maximum(1.0, u)
-    below = A * u - hu  # positive entries violate the lower envelope
-    above = hu - B * u
-    res = np.maximum(below, above)
-    k = int(np.argmax(res - allow))
-    wc = (float(u[k]), float(res[k]))
-    notes = ""
-    phi = hu / u
-    if phi[-1] > 10.0 * np.median(phi) and phi[-1] > phi[u.size // 2]:
-        notes = "h(x)/x unbounded on samples; h itself is unbounded"
-    if np.any(res > allow):
-        return CriterionReport("linear_envelope_check", FAILS, wc, notes=notes)
-    return CriterionReport("linear_envelope_check", HOLDS, wc, notes=notes)
+    return _envelope(*_profile(m, grid), A, B, tol)
 
 
 def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
@@ -168,9 +166,7 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
 
     ``pair = (S1, S2)`` adds the grid oracle to each cross-check.
     """
-    u = map_samples(m, grid)
-    u = u[u > 0]
-    hu = m(u)
+    u, hu = _profile(m, grid)
     phi = hu / u
     margin = tol.verdict_margin
 
@@ -180,13 +176,16 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
         oracle = direct_compare(pair[0], pair[1], grid, tol)
         dominated = dominated_or_equal(oracle)
 
-    A_est = asymptotic_slope_A(m, grid, tol)
+    A_est = _slope_A(m, u, hu)
 
-    # midpoint convexity of phi, with a slack relative to |phi|
-    phi_convex, _ = _pair_scan(
-        u, phi, lambda w: m(w) / w, _midpoint, _convexity_gap, margin,
-        allow=lambda mg, a, b: mg * np.maximum(1.0, np.abs(a) + np.abs(b)),
-        sanitize=False)
+    # h once on the midpoint matrix, for the convexity of phi (slack relative
+    # to |phi|) and the concavity of h; NaN residuals fail both
+    U, V = u[:, None], u[None, :]
+    W = _midpoint(U, V)
+    hw = m(W)
+    HU, HV, PU, PV = hu[:, None], hu[None, :], phi[:, None], phi[None, :]
+    phi_convex, _ = _worst(_convexity_gap(hw / W, PU, PV),
+                           margin * np.maximum(1.0, np.abs(PU) + np.abs(PV)))
     out: dict[str, CriterionReport] = {}
 
     if phi_convex:
@@ -205,7 +204,7 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
     phi_bounded = bool(np.all(np.isfinite(phi)))
     if phi_noninc and phi_bounded:
         B = float(np.max(phi))
-        env = linear_envelope_check(m, min(A_est.value, B), B, grid, tol)
+        env = _envelope(u, hu, min(A_est.value, B), B, tol)
         ok = dominated and env.holds
         out["monotone_profile"] = CriterionReport(
             "section4_monotone_profile", HOLDS if ok else FAILS,
@@ -216,10 +215,8 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
             "section4_monotone_profile", NOT_APPLICABLE,
             notes="phi not non-increasing and bounded")
 
-    h_concave, _ = _pair_scan(
-        u, hu, m, _midpoint, _concavity_gap, margin,
-        allow=lambda mg, a, b: mg + 1e-9 * (np.abs(a) + np.abs(b)),
-        sanitize=False)
+    h_concave, _ = _worst(_concavity_gap(hw, HU, HV),
+                          margin + 1e-9 * (np.abs(HU) + np.abs(HV)))
     sup_phi = float(np.max(phi))
     if h_concave and sup_phi <= 1.0 + margin:
         A = A_est.value if math.isfinite(A_est.value) else 0.0

@@ -119,11 +119,6 @@ class Generator:
         if self.boundary_at_one < 0 or not math.isfinite(self.boundary_at_one):
             raise ParameterError("boundary_at_one must be finite and >= 0")
 
-    def spec_record(self) -> str:
-        """Serializable text record: label, family, parameters."""
-        pars = ",".join(f"{p:g}" for p in self.params)
-        return f"{self.label}|{self.family or 'custom'}|{pars}"
-
     # convenience wrappers so g(x) etc. read naturally
     def __call__(self, x):
         return geval(self, x)

@@ -76,37 +76,43 @@ def _convexity_gap(fc, fu, fv):  # f(c) <= (f(u) + f(v))/2
     return fc - _midpoint(fu, fv)
 
 
-def _pair_scan(u, fu, f, combine, residual, margin, allow=_slack,
-               sanitize=True) -> tuple[bool, tuple]:
-    """The pairwise criterion kernel over all sample pairs (u_i, u_j).
+def _worst(res, allow, *coords) -> tuple[bool, tuple]:
+    """The criterion kernel: every residual within its allowance, or a witness.
+
+    Returns whether res <= allow everywhere and the witness (coords..., res)
+    at the largest res - allow, first in row-major order on ties.  Each
+    coordinate is an array that broadcasts against res; it is read at the
+    witness index without materializing the broadcast (unit axes read 0).
+    """
+    gap = res - allow
+    idx = np.unravel_index(int(gap.argmax()), gap.shape)
+    at = [float(c[tuple(i if n > 1 else 0
+                        for i, n in zip(idx[gap.ndim - c.ndim:], c.shape))])
+          for c in (*coords, res)]
+    return bool((res <= allow).all()), tuple(at)
+
+
+def _pair_scan(u, fu, f, combine, residual, margin) -> tuple[bool, tuple]:
+    """The pairwise criterion over all sample pairs (u_i, u_j).
 
     Checks residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) against
-    allow(margin, f(u_i), f(u_j)).  ``sanitize`` counts NaN (inf - inf)
-    residuals, the exact infinity branch, as trivially satisfied.  Returns
-    whether every pair passes and the witness (u_i, u_j, residual) at the
-    largest residual-minus-slack.
+    _slack(margin, f(u_i), f(u_j)), counting NaN (inf - inf) residuals, the
+    exact infinity branch, as satisfied; the witness is (u_i, u_j, residual).
     """
     U, V = u[:, None], u[None, :]
     FU, FV = fu[:, None], fu[None, :]
     res = residual(f(combine(U, V)), FU, FV)
-    if sanitize:
-        res = np.where(np.isnan(res), -np.inf, res)
-    slack = allow(margin, FU, FV)
-    i, j = np.unravel_index(int(np.argmax(res - slack)), res.shape)
-    return bool(np.all(res <= slack)), (float(u[i]), float(u[j]), float(res[i, j]))
+    return _worst(np.where(np.isnan(res), -np.inf, res), _slack(margin, FU, FV), U, V)
 
 
 def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
     """Adjacent steps of r against its direction: decreases if ``falling``.
 
-    Each step may reach rel * max(1, |r|) at its left end.  Returns whether
-    every step passes and the witness (x_k, x_{k+1}, step) at the worst one.
+    Each step may reach rel * max(1, |r|) at its left end; the witness is
+    (x_k, x_{k+1}, step).
     """
     steps = -np.diff(r) if falling else np.diff(r)
-    allow = rel * np.maximum(1.0, np.abs(r[:-1]))
-    k = int(np.argmax(steps - allow))
-    wc = (float(xs[k]), float(xs[k + 1]), float(steps[k]))
-    return not np.any(steps > allow), wc
+    return _worst(steps, rel * np.maximum(1.0, np.abs(r[:-1])), xs[:-1], xs[1:])
 
 
 def _with_decades(grid: IntervalGrid, xs: np.ndarray) -> np.ndarray:
@@ -278,11 +284,9 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
                                notes="no nonzero sample for the fit")
     u0 = float(np.median(nz))
     c = float(m(u0)) / u0
-    res = np.abs(hu - c * u)
-    allow = tol.verdict_margin * np.maximum(1.0, np.abs(u))
-    worst = int(np.argmax(res - allow))
-    wc = (float(u[worst]), float(res[worst]))
-    return _report("equality_test", c > 0 and np.all(res <= allow), wc, c=c)
+    linear, wc = _worst(np.abs(hu - c * u),
+                        tol.verdict_margin * np.maximum(1.0, np.abs(u)), u)
+    return _report("equality_test", c > 0 and linear, wc, c=c)
 
 
 def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
@@ -301,6 +305,8 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
     notes = ""
     side_ok = True
     if m.both_normalized:
+        # the witness is the largest h(u) - u, not the largest excess over
+        # the slack that _worst reports, so this scan stays hand-written
         over = hu - u
         side_ok = bool(np.all(over <= tol.verdict_margin * np.maximum(1.0, u)))
         details["upper_bound_ok"] = side_ok
@@ -317,23 +323,17 @@ def quasi_homogeneity_criterion(
         t_samples=(1.0, 1.5, 2.0, 3.0, 5.0, 10.0),
         tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """Under convexity of h: h(t*x) <= t*h(x) for t >= 1 iff S1 <= S2."""
+    t = np.asarray(t_samples, dtype=float)[:, None]
+    if t.size == 0 or np.any(t < 1):
+        raise ParameterError("t samples must be non-empty and >= 1")
     u = map_samples(m, grid)
     hu = m(u)
     convex, _ = _pair_scan(u, hu, m, _midpoint, _convexity_gap, tol.verdict_margin)
     if not convex:
         return CriterionReport("quasi_homogeneity_criterion", NOT_APPLICABLE,
                                notes="h is not midpoint-convex on samples")
-    worst_wc, worst_gap = None, -math.inf
-    for t in t_samples:
-        if t < 1:
-            raise ParameterError("t samples must be >= 1")
-        res = m(t * u) - t * hu
-        allow = _slack(tol.verdict_margin, t * hu)
-        gap = float(np.max(res - allow))
-        if gap > worst_gap:
-            k = int(np.argmax(res - allow))
-            worst_gap, worst_wc = gap, (t, float(u[k]), float(res[k]))
-    return _report("quasi_homogeneity_criterion", worst_gap <= 0, worst_wc)
+    holds, wc = _worst(m(t * u) - t * hu, _slack(tol.verdict_margin, t * hu), t, u)
+    return _report("quasi_homogeneity_criterion", holds, wc)
 
 
 def ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
@@ -375,15 +375,13 @@ def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
     if not holds:
         return CriterionReport("derivative_ratio_criterion", FAILS, wc,
                                notes="derivative ratio decreases")
-    both_norm = (s1.boundary_at_one == 1.0 and s2.boundary_at_one == 1.0)
-    if both_norm:
+    if s1.boundary_at_one == 1.0 and s2.boundary_at_one == 1.0:
         v1, v2 = geval(s1, xs), geval(s2, xs)
-        over = v1 - v2
-        if np.any(over > tol.verdict_margin * np.maximum(1.0, np.abs(v2))):
-            k = int(np.argmax(over))
+        below, side_wc = _worst(
+            v1 - v2, tol.verdict_margin * np.maximum(1.0, np.abs(v2)), xs)
+        if not below:
             return CriterionReport(
-                "derivative_ratio_criterion", FAILS,
-                (float(xs[k]), float(over[k])),
+                "derivative_ratio_criterion", FAILS, side_wc,
                 notes="s1 <= s2 fails (normalized-pair side condition)")
     return CriterionReport("derivative_ratio_criterion", HOLDS, wc)
 
@@ -434,11 +432,9 @@ def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
     u0 = float(np.median(u))
     c = float(_product_transport(s, t, np.asarray(u0), tol)) / (-math.log(u0))
     lnu = np.log(u)
-    res = np.abs(g + c * lnu)
-    allow = tol.verdict_margin * np.maximum(1.0, np.abs(lnu))
-    k = int(np.argmax(res - allow))
-    wc = (float(u[k]), float(res[k]))
-    return _report("logarithmic_equality_test", c > 0 and np.all(res <= allow),
+    logarithmic, wc = _worst(np.abs(g + c * lnu),
+                             tol.verdict_margin * np.maximum(1.0, np.abs(lnu)), u)
+    return _report("logarithmic_equality_test", c > 0 and logarithmic,
                    wc, "g is not logarithmic", c=c)
 
 
@@ -491,16 +487,15 @@ def proper_never_dominates_tnorm_check(
                                NOT_APPLICABLE, notes="left operand not proper")
     xs = grid.points
     gap = xs - S.surface(xs, np.asarray(1.0), tol)
-    k = int(np.argmax(gap))
-    if gap[k] > tol.verdict_margin:
-        x = float(xs[k])
-        return CriterionReport(
-            "proper_never_dominates_tnorm_check", HOLDS,
-            (x, float(S.surface(x, 1.0)), x),
-            notes="boundary-row witness S(x,1) < x")
-    return CriterionReport("proper_never_dominates_tnorm_check", FAILS,
-                           (float(xs[k]), float(gap[k])),
-                           notes="no boundary gap found")
+    no_gap, wc = _worst(gap, tol.verdict_margin, xs)
+    if no_gap:
+        return CriterionReport("proper_never_dominates_tnorm_check", FAILS, wc,
+                               notes="no boundary gap found")
+    x = wc[0]
+    return CriterionReport(
+        "proper_never_dominates_tnorm_check", HOLDS,
+        (x, float(S.surface(x, 1.0)), x),
+        notes="boundary-row witness S(x,1) < x")
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +593,8 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             criterion: str | None = None) -> ComparisonVerdict:
     """Public order query: cheap certificates first, grid oracle as fallback.
 
+    The certificate chain is equality, then generator ratio, then concavity
+    (each tried for S1 <= S2 and for S2 <= S1); the first that holds decides.
     ``criterion`` forces a single named test (its holds/fails outcome is
     reported next to the oracle verdict via the criterion field).
     """
@@ -615,7 +612,7 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
         if run_criterion("equality", S1, S2, grid, tol).holds:
             return ComparisonVerdict(EQUAL, [], "equality_test",
                                      tol.verdict_margin)
-        for name in ("ratio", "ratio_profile", "concavity"):
+        for name in ("ratio", "concavity"):
             if run_criterion(name, S1, S2, grid, tol).holds:
                 return ComparisonVerdict(DOMINATED, [], f"{name}_criterion",
                                          tol.verdict_margin)

@@ -16,7 +16,7 @@ from subnorms import (
     small_slope_B,
 )
 from subnorms.asymptotics import ORDER_LOWER, SAME_ORDER
-from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, from_callable
+from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, from_callable, map_samples
 
 GRID = IntervalGrid.uniform(101)
 
@@ -120,6 +120,20 @@ class TestGrowthPredicates:
         # phi = ln(u+1)/u is non-increasing and bounded; h is concave, phi <= 1
         assert out["monotone_profile"].verdict == HOLDS
         assert out["concave_envelope"].verdict == HOLDS
+
+    def test_midpoint_matrix_evaluated_once(self):
+        sizes = []
+
+        def h(u):
+            sizes.append(np.size(u))
+            return np.log(np.asarray(u) + 1.0)
+
+        m = from_callable(h, 0.0, "counting_log")
+        u = map_samples(m, GRID)
+        u = u[u > 0]
+        section4_equivalences(m, GRID)
+        # both the phi-convexity and the h-concavity scan read one h((u_i + u_j)/2)
+        assert sizes.count(u.size ** 2) == 1
 
     def test_increasing_profile_not_applicable(self):
         m = from_callable(lambda u: np.asarray(u) ** 2, 1.0, "square")

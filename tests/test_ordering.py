@@ -171,9 +171,12 @@ class TestSufficientCertificates:
         assert quasi_homogeneity_criterion(m, GRID).verdict == NOT_APPLICABLE
 
     def test_quasi_homogeneity_rejects_bad_t(self):
-        m = from_callable(lambda u: np.asarray(u), 1.0, "id")
-        with pytest.raises(ParameterError):
-            quasi_homogeneity_criterion(m, GRID, t_samples=(0.5,))
+        identity = from_callable(lambda u: np.asarray(u), 1.0, "id")
+        # not midpoint-convex: t is checked before the convexity precheck
+        log = from_callable(lambda u: np.log(np.asarray(u) + 1.0), 0.0, "log")
+        for m in (identity, log):
+            with pytest.raises(ParameterError):
+                quasi_homogeneity_criterion(m, GRID, t_samples=(0.5,))
 
     def test_ratio_certifies_one_plus_x(self):
         # ratio of the reciprocal and Hamacher generators is 1 + x
