@@ -213,16 +213,19 @@ def dual_superconorm(S: Operator) -> Fixture:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Name plus parameters of a catalog family; see FAMILY_DOMAINS."""
+    """Name plus parameters of a catalog family; _GENERATOR_FAMILIES lists the keys."""
 
     family: str
     params: dict = field(default_factory=dict)
 
 
-def _need(params: dict, key: str, family: str) -> float:
-    if key not in params:
-        raise ParameterError(f"{family} requires parameter '{key}'")
-    return float(params[key])
+def _need(spec: FamilySpec, keys: tuple[str, ...]) -> list[float]:
+    """The spec's values for its family's declared keys, in declared order."""
+    for key in spec.params:
+        _require(key in keys, f"{spec.family} has no parameter '{key}'")
+    for key in keys:
+        _require(key in spec.params, f"{spec.family} requires parameter '{key}'")
+    return [float(spec.params[key]) for key in keys]
 
 
 def _require(cond: bool, msg: str):
@@ -327,26 +330,23 @@ def lukasiewicz_fixture() -> Fixture:
                    label="lukasiewicz", nilpotent=True)
 
 
+# family name -> (parameter keys, builder taking their values in that order)
 _GENERATOR_FAMILIES = {
-    "product": lambda p: product_generator(),
-    "hamacher0": lambda p: hamacher0_generator(),
-    "reciprocal_minus_x": lambda p: reciprocal_minus_x_generator(),
-    "half_product": lambda p: half_product_generator(),
-    "aa_tnorm": lambda p: aa_tnorm_generator(_need(p, "l", "aa_tnorm")),
-    "rational": lambda p: rational_generator(_need(p, "a", "rational")),
-    "dombi_sub": lambda p: dombi_sub_generator(_need(p, "a", "dombi_sub"),
-                                               _need(p, "l", "dombi_sub")),
-    "aa_sub": lambda p: aa_sub_generator(_need(p, "a", "aa_sub"),
-                                         _need(p, "l", "aa_sub")),
-    "ss_sub": lambda p: ss_sub_generator(_need(p, "a", "ss_sub"),
-                                         _need(p, "l", "ss_sub")),
-    "log_sub": lambda p: log_sub_generator(_need(p, "a", "log_sub"),
-                                           _need(p, "l", "log_sub")),
+    "product": ((), product_generator),
+    "hamacher0": ((), hamacher0_generator),
+    "reciprocal_minus_x": ((), reciprocal_minus_x_generator),
+    "half_product": ((), half_product_generator),
+    "aa_tnorm": (("l",), aa_tnorm_generator),
+    "rational": (("a",), rational_generator),
+    "dombi_sub": (("a", "l"), dombi_sub_generator),
+    "aa_sub": (("a", "l"), aa_sub_generator),
+    "ss_sub": (("a", "l"), ss_sub_generator),
+    "log_sub": (("a", "l"), log_sub_generator),
 }
 
 _FIXTURE_FAMILIES = {
-    "yager": lambda p: yager_fixture(_need(p, "l", "yager")),
-    "lukasiewicz": lambda p: lukasiewicz_fixture(),
+    "yager": (("l",), yager_fixture),
+    "lukasiewicz": ((), lukasiewicz_fixture),
 }
 
 FAMILY_NAMES = tuple(_GENERATOR_FAMILIES) + tuple(_FIXTURE_FAMILIES)
@@ -358,13 +358,15 @@ def family_generator(spec: FamilySpec) -> Generator:
         raise ParameterError(f"{spec.family} has no generator in this class")
     if spec.family not in _GENERATOR_FAMILIES:
         raise ParameterError(f"unknown family {spec.family!r}")
-    return _GENERATOR_FAMILIES[spec.family](spec.params)
+    keys, build = _GENERATOR_FAMILIES[spec.family]
+    return build(*_need(spec, keys))
 
 
 def make_family(spec: FamilySpec, tol: ToleranceProfile = DEFAULT_TOL) -> Operator:
     """Instantiate a catalog family; fixtures for the nilpotent names."""
     if spec.family in _FIXTURE_FAMILIES:
-        return _FIXTURE_FAMILIES[spec.family](spec.params)
+        keys, build = _FIXTURE_FAMILIES[spec.family]
+        return build(*_need(spec, keys))
     return from_generator(family_generator(spec), tol)
 
 

@@ -1,13 +1,14 @@
 """Deciding and certifying the pointwise order of t-subnorms.
 
-The ground truth is a brute-force grid oracle (:func:`direct_compare`).
-Every other test here is a criterion on the composed map h = s1 o s2^{-1}:
-subadditivity of h characterizes S1 <= S2 exactly; linearity characterizes
-equality; concavity, generator ratio, ratio profile and derivative ratio are
-sufficient certificates; submultiplicative-additivity handles dominance by a
-strict t-norm through its product isomorphism.  Criteria never override the
-oracle: the public :func:`compare` runs cheap certificates first and falls
-back to the grid scan, recording which path decided.
+The ground truth is a brute-force grid oracle (:func:`direct_compare`) on
+the grid plus the decade points the criteria sample near 0.  Every other test
+here is a criterion on the composed map h = s1 o s2^{-1}: subadditivity of h
+characterizes S1 <= S2 exactly; linearity characterizes equality; concavity
+(with h(u) <= u*h(d)/d when d = s2(1) > 0), generator ratio, ratio profile and
+derivative ratio are sufficient certificates; submultiplicative-additivity
+handles dominance by a strict t-norm through its product isomorphism.  The
+public :func:`compare` runs the equality and ratio certificates first and
+falls back to the oracle, recording which path decided.
 """
 
 from __future__ import annotations
@@ -225,8 +226,8 @@ def serialize_report(r: CriterionReport) -> str:
 
 def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
                    tol: ToleranceProfile = DEFAULT_TOL) -> ComparisonVerdict:
-    """Brute-force pointwise comparison over grid x grid; the ground truth."""
-    pts = np.concatenate([[0.0], grid.points])
+    """Pointwise scan on 0, the grid and its decade points; the ground truth."""
+    pts = np.concatenate([[0.0], _with_decades(grid, grid.points)])
     X, Y = pts[:, None], pts[None, :]
     d = S1.surface(X, Y, tol) - S2.surface(X, Y, tol)
     m = tol.verdict_margin
@@ -291,10 +292,11 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
 
 def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
                         tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """Midpoint concavity of h, plus h(u) <= u in the both-normalized case.
+    """Midpoint concavity of h, plus h(u) <= u*h(d)/d when d = s2(1) > 0.
 
-    Sufficient only: subadditivity does not imply concavity, and without the
-    upper bound a concave h can fail subadditivity (the affine-with-offset
+    Sufficient only: a concave h is subadditive when h(u)/u is non-increasing
+    on [d, inf), which for d > 0 is the side condition (h(u) <= u on normalized
+    pairs); without it a concave h can fail subadditivity (the affine-with-offset
     counterexamples).
     """
     u = map_samples(m, grid)
@@ -302,20 +304,16 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
     concave, wc = _pair_scan(u, hu, m, _midpoint, _concavity_gap,
                              tol.verdict_margin)
     details = {"midpoint_concave": concave, "upper_bound_ok": None}
-    notes = ""
+    notes = "midpoint concavity fails"
     side_ok = True
-    if m.both_normalized:
-        # the witness is the largest h(u) - u, not the largest excess over
-        # the slack that _worst reports, so this scan stays hand-written
-        over = hu - u
-        side_ok = bool(np.all(over <= tol.verdict_margin * np.maximum(1.0, u)))
+    d = m.domain_start
+    if d > 0:
+        side_ok, side_wc = _worst(hu - u * (float(m(d)) / d),
+                                  tol.verdict_margin * np.maximum(1.0, u), u)
         details["upper_bound_ok"] = side_ok
         if not side_ok:
-            k = int(np.argmax(over))
-            wc = (float(u[k]), float(over[k]))
-            notes = "h(u) <= u fails (normalized-pair side condition)"
-    return _report("concavity_criterion", concave and side_ok, wc,
-                   notes or "midpoint concavity fails", **details)
+            wc, notes = side_wc, "h(u) <= u*h(d)/d fails (side condition for d > 0)"
+    return _report("concavity_criterion", concave and side_ok, wc, notes, **details)
 
 
 def quasi_homogeneity_criterion(
@@ -359,7 +357,7 @@ def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
 
 def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
                                tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """s1'/s2' non-decreasing (plus s1 <= s2 when both normalized) => S1 <= S2."""
+    """s1'/s2' non-decreasing, plus s1*s2(1) <= s2*s1(1) when s2(1) > 0 => S1 <= S2."""
     lo = max(float(grid.points[0]), 1e-4)
     xs = grid.points[(grid.points >= lo) & (grid.points <= 1 - 1e-4)]
     if xs.size < 3:
@@ -375,14 +373,15 @@ def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
     if not holds:
         return CriterionReport("derivative_ratio_criterion", FAILS, wc,
                                notes="derivative ratio decreases")
-    if s1.boundary_at_one == 1.0 and s2.boundary_at_one == 1.0:
+    b1, b2 = s1.boundary_at_one, s2.boundary_at_one
+    if b2 > 0:
         v1, v2 = geval(s1, xs), geval(s2, xs)
         below, side_wc = _worst(
-            v1 - v2, tol.verdict_margin * np.maximum(1.0, np.abs(v2)), xs)
+            v1 * b2 - v2 * b1, tol.verdict_margin * np.maximum(1.0, np.abs(v2)), xs)
         if not below:
             return CriterionReport(
                 "derivative_ratio_criterion", FAILS, side_wc,
-                notes="s1 <= s2 fails (normalized-pair side condition)")
+                notes="s1*s2(1) <= s2*s1(1) fails (side condition for s2(1) > 0)")
     return CriterionReport("derivative_ratio_criterion", HOLDS, wc)
 
 
@@ -593,10 +592,11 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             criterion: str | None = None) -> ComparisonVerdict:
     """Public order query: cheap certificates first, grid oracle as fallback.
 
-    The certificate chain is equality, then generator ratio, then concavity
-    (each tried for S1 <= S2 and for S2 <= S1); the first that holds decides.
-    ``criterion`` forces a single named test (its holds/fails outcome is
-    reported next to the oracle verdict via the criterion field).
+    The certificate chain is equality, then generator ratio (tried for
+    S1 <= S2 and for S2 <= S1); the first that holds decides, else
+    :func:`direct_compare` does.  ``criterion`` forces a single named test
+    (its holds/fails outcome is reported next to the oracle verdict via the
+    criterion field).
     """
     both_generated = isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)
     if criterion is not None:
@@ -612,11 +612,8 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
         if run_criterion("equality", S1, S2, grid, tol).holds:
             return ComparisonVerdict(EQUAL, [], "equality_test",
                                      tol.verdict_margin)
-        for name in ("ratio", "concavity"):
-            if run_criterion(name, S1, S2, grid, tol).holds:
-                return ComparisonVerdict(DOMINATED, [], f"{name}_criterion",
-                                         tol.verdict_margin)
-            if run_criterion(name, S2, S1, grid, tol).holds:
-                return ComparisonVerdict(DOMINATES, [], f"{name}_criterion",
+        for lo, hi, relation in ((S1, S2, DOMINATED), (S2, S1, DOMINATES)):
+            if run_criterion("ratio", lo, hi, grid, tol).holds:
+                return ComparisonVerdict(relation, [], "ratio_criterion",
                                          tol.verdict_margin)
     return direct_compare(S1, S2, grid, tol)

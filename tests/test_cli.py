@@ -74,6 +74,12 @@ class TestCompare:
         assert "verdict: incomparable" in out
         assert out.count("witness: ") == 2
 
+    def test_product_vs_rational_is_incomparable(self, capsys):
+        assert main(["compare", "product", "rational:a=0.5"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "verdict: incomparable" in out
+        assert out.count("witness: ") == 2
+
     def test_equal(self, capsys):
         assert main(["compare", "product", "product"]) == EXIT_OK
         assert "verdict: equal" in capsys.readouterr().out
@@ -118,6 +124,10 @@ class TestScan:
         assert main(["scan", "dombi:a=0.6", "--lambdas=-1,1",
                      "--criterion", "ratio"]) == EXIT_DOMAIN
         capsys.readouterr()
+
+    def test_family_without_lambda(self, capsys):
+        assert main(["scan", "product", "--lambdas", "1,2"]) == EXIT_DOMAIN
+        assert "product has no parameter 'l'" in capsys.readouterr().err
 
     def test_bad_lambda_list(self, capsys):
         assert main(["scan", "dombi:a=0.6", "--lambdas", "a,b",

@@ -191,6 +191,9 @@ class TestParameterDomains:
         FamilySpec("aa_sub", {"a": 2.0, "l": 1.0}),
         FamilySpec("yager", {"l": 0.0}),
         FamilySpec("nonexistent", {}),
+        FamilySpec("product", {"a": 3.0}),
+        FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0, "lam": 9.0}),
+        FamilySpec("lukasiewicz", {"l": 3.0}),
     ])
     def test_rejected(self, spec):
         with pytest.raises(ParameterError):

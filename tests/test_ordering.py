@@ -1,6 +1,8 @@
 """Order decisions: the grid oracle, the certificates, and their agreement."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from subnorms import (
     lukasiewicz_fixture,
     make_family,
     nilpotent_guard,
+    numeric_inverse,
     proper_never_dominates_tnorm_check,
     quasi_homogeneity_criterion,
     ratio_criterion,
@@ -49,11 +52,13 @@ from subnorms.ordering import (
     serialize_report,
     serialize_verdict,
 )
+from subnorms.cli import parse_operator_spec
 from subnorms.operators import Fixture
 from subnorms import verify
 from subnorms.verify import remark_fixture_maps
 
 GRID = IntervalGrid.uniform(101)
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "data" / "reference.json"
 
 
 def half_product_fixture():
@@ -160,6 +165,14 @@ class TestSufficientCertificates:
         assert rep.details["midpoint_concave"]
         assert rep.details["upper_bound_ok"] is False
         assert rep.verdict == FAILS
+
+    @pytest.mark.parametrize("name", ["concavity", "derivative_ratio"])
+    def test_side_condition_when_rhs_is_proper(self, name):
+        # d = s2(1) = 1 but h(d) = s1(1) = 0, so h(u) <= u*h(d)/d fails for u > d:
+        # product and rational(0.5) are incomparable
+        P = make_family(FamilySpec("product"))
+        R = make_family(FamilySpec("rational", {"a": 0.5}))
+        assert run_criterion(name, P, R, GRID).verdict == FAILS
 
     def test_quasi_homogeneity_on_affine_map(self):
         m = from_callable(lambda u: (3.0 * np.asarray(u) + 2.0) / 5.0, 1.0,
@@ -330,6 +343,37 @@ class TestScansAndCompare:
         with pytest.raises(ParameterError):
             run_criterion("mystery", S, S, GRID)
         assert "subadditivity" in CRITERION_NAMES
+
+
+class TestReferenceVerdicts:
+    """compare at GRID against the benchmark's pinned reference verdicts.
+
+    The reference comes from a 2060-point-per-axis scan, uniform plus
+    geometric near 0; ``known_seed_defects`` names the pairs it pins as wrong.
+    """
+
+    @pytest.fixture(scope="class")
+    def ref(self):
+        return json.loads(REFERENCE.read_text())
+
+    @staticmethod
+    def disagreements(ref, members):
+        return [(i, j) for i, S1 in enumerate(members) for j, S2 in enumerate(members)
+                if i != j and compare(S1, S2, GRID).relation
+                != ref["codes"][ref["verdicts"][i][j]]]
+
+    def test_extended_catalog(self, ref):
+        members = [make_family(parse_operator_spec(text)) for text in ref["members"]]
+        wrong = self.disagreements(ref, members)
+        known = set(ref["known_seed_defects"])
+        assert [p for p in wrong if f"compare:{p[0]}:{p[1]}:101" not in known] == []
+        assert len(wrong) <= 6, wrong
+
+    def test_numeric_twins(self, ref):
+        twins = [from_generator(numeric_inverse(g.fn, g.boundary_at_one, g.label,
+                                                g.family, g.params))
+                 for g in (S.generator for S in catalog())]
+        assert self.disagreements(ref, twins) == []
 
 
 class TestSerialization:
