@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", default=None,
                    help=f"force one of: {', '.join(CRITERION_NAMES)}")
     p.add_argument("--grid", type=int, default=101, metavar="N",
-                   help="oracle grid resolution (default 101)")
+                   help="sample grid resolution (default 101)")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("scan", help="order a one-parameter family chain")

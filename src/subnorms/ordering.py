@@ -1,20 +1,19 @@
 """Deciding and certifying the pointwise order of t-subnorms.
 
-The ground truth is a brute-force grid oracle (:func:`direct_compare`) on
-the grid plus the decade points the criteria sample near 0.  Every other test
-here is a criterion on the composed map h = s1 o s2^{-1}: subadditivity of h
-characterizes S1 <= S2 exactly; linearity characterizes equality; concavity
+A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
+decade points the criteria sample near 0.  Every other test here is a criterion
+on the composed map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2
+exactly (superadditivity S2 <= S1); linearity characterizes equality; concavity
 (with h(u) <= u*h(d)/d when d = s2(1) > 0), generator ratio, ratio profile and
 derivative ratio are sufficient certificates; submultiplicative-additivity
 handles dominance by a strict t-norm through its product isomorphism.  The
-public :func:`compare` runs the equality and ratio certificates first and
-falls back to the oracle, recording which path decided.
+public :func:`compare` runs the equality and ratio certificates, then one
+residual matrix of h for both directions, and records which path decided.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -93,17 +92,22 @@ def _worst(res, allow, *coords) -> tuple[bool, tuple]:
     return bool((res <= allow).all()), tuple(at)
 
 
-def _pair_scan(u, fu, f, combine, residual, margin) -> tuple[bool, tuple]:
-    """The pairwise criterion over all sample pairs (u_i, u_j).
-
-    Checks residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) against
-    _slack(margin, f(u_i), f(u_j)), counting NaN (inf - inf) residuals, the
-    exact infinity branch, as satisfied; the witness is (u_i, u_j, residual).
-    """
+def _pair_residuals(u, fu, f, combine, residual, margin) -> tuple:
+    """residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) on all sample pairs, its
+    allowance _slack(margin, f(u_i), f(u_j)) and the axes u_i, u_j."""
     U, V = u[:, None], u[None, :]
     FU, FV = fu[:, None], fu[None, :]
-    res = residual(f(combine(U, V)), FU, FV)
-    return _worst(np.where(np.isnan(res), -np.inf, res), _slack(margin, FU, FV), U, V)
+    return residual(f(combine(U, V)), FU, FV), _slack(margin, FU, FV), U, V
+
+
+def _within(res, allow, *coords) -> tuple[bool, tuple]:
+    """:func:`_worst` with NaN (inf - inf) residuals counted as satisfied."""
+    return _worst(np.where(np.isnan(res), -np.inf, res), allow, *coords)
+
+
+def _pair_scan(u, fu, f, combine, residual, margin) -> tuple[bool, tuple]:
+    """The pairwise criterion; the witness is (u_i, u_j, residual)."""
+    return _within(*_pair_residuals(u, fu, f, combine, residual, margin))
 
 
 def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
@@ -278,16 +282,17 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
                   tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """h is homogeneous linear (h(u) = c*u, c > 0) iff S1 = S2."""
     u = map_samples(m, grid)
-    hu = m(u)
-    nz = u[u > 0]
-    if nz.size == 0:
-        return CriterionReport("equality_test", NOT_APPLICABLE,
-                               notes="no nonzero sample for the fit")
-    u0 = float(np.median(nz))
+    linear, wc, c = _linear_fit(m, u, m(u), tol.verdict_margin)
+    return _report("equality_test", linear, wc, c=c)
+
+
+def _linear_fit(m: Callable, u, hu, margin) -> tuple[bool, tuple, float]:
+    """(h = c*u with c > 0 on the samples, witness, c) for c = h(u0)/u0 at the
+    median positive sample u0 (:func:`map_samples` always has one)."""
+    u0 = float(np.median(u[u > 0]))
     c = float(m(u0)) / u0
-    linear, wc = _worst(np.abs(hu - c * u),
-                        tol.verdict_margin * np.maximum(1.0, np.abs(u)), u)
-    return _report("equality_test", c > 0 and linear, wc, c=c)
+    linear, wc = _worst(np.abs(hu - c * u), margin * np.maximum(1.0, np.abs(u)), u)
+    return c > 0 and linear, wc, c
 
 
 def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
@@ -338,9 +343,13 @@ def ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
                     tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """s1/s2 non-decreasing on (0,1) forces S1 <= S2 (sufficient only)."""
     xs = _with_decades(grid, grid.interior)
-    holds, wc = _monotone_scan(xs, geval(s1, xs) / geval(s2, xs),
-                               tol.verdict_margin, falling=True)
+    holds, wc = _ratio_scan(xs, geval(s1, xs), geval(s2, xs), tol.verdict_margin)
     return _report("ratio_criterion", holds, wc, "generator ratio decreases")
+
+
+def _ratio_scan(xs, v1, v2, margin) -> tuple[bool, tuple]:
+    """The ratio v1/v2 = s1/s2 at xs never decreases."""
+    return _monotone_scan(xs, v1 / v2, margin, falling=True)
 
 
 def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
@@ -370,19 +379,16 @@ def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
                                notes="non-finite derivative samples")
     # finite differences carry more noise than closed forms; widen the slack
     holds, wc = _monotone_scan(xs, d1 / d2, 1e-4, falling=True)
-    if not holds:
-        return CriterionReport("derivative_ratio_criterion", FAILS, wc,
-                               notes="derivative ratio decreases")
+    notes = "derivative ratio decreases"
     b1, b2 = s1.boundary_at_one, s2.boundary_at_one
-    if b2 > 0:
+    if holds and b2 > 0:
         v1, v2 = geval(s1, xs), geval(s2, xs)
         below, side_wc = _worst(
             v1 * b2 - v2 * b1, tol.verdict_margin * np.maximum(1.0, np.abs(v2)), xs)
         if not below:
-            return CriterionReport(
-                "derivative_ratio_criterion", FAILS, side_wc,
-                notes="s1*s2(1) <= s2*s1(1) fails (side condition for s2(1) > 0)")
-    return CriterionReport("derivative_ratio_criterion", HOLDS, wc)
+            holds, wc = False, side_wc
+            notes = "s1*s2(1) <= s2*s1(1) fails (side condition for s2(1) > 0)"
+    return _report("derivative_ratio_criterion", holds, wc, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,7 @@ def strict_dominance_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
 
 def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
                               tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """S = T iff g(u) = s(t^{-1}(-ln u)) equals -c*ln u for some c > 0."""
+    """S = T iff g(u) = s(t^{-1}(-ln u)) is c*w, w = -ln u, c > 0 (witness in w)."""
     if not isinstance(T, TSubnorm) or not T.is_strict:
         return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
                                notes="right operand is not a strict t-norm")
@@ -427,14 +433,11 @@ def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
                                notes="left operand has no generator")
     s, t = S.generator, T.generator
     u = _with_decades(grid, grid.interior)
-    g = _product_transport(s, t, u, tol)
-    u0 = float(np.median(u))
-    c = float(_product_transport(s, t, np.asarray(u0), tol)) / (-math.log(u0))
-    lnu = np.log(u)
-    logarithmic, wc = _worst(np.abs(g + c * lnu),
-                             tol.verdict_margin * np.maximum(1.0, np.abs(lnu)), u)
-    return _report("logarithmic_equality_test", c > 0 and logarithmic,
-                   wc, "g is not logarithmic", c=c)
+    logarithmic, wc, c = _linear_fit(
+        lambda w: _product_transport(s, t, np.exp(-w), tol), -np.log(u),
+        _product_transport(s, t, u, tol), tol.verdict_margin)
+    return _report("logarithmic_equality_test", logarithmic, wc,
+                   "g is not logarithmic", c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -564,15 +567,9 @@ def family_monotonicity_scan(family: str, fixed_params: dict,
     for (la, Sa), (lb, Sb) in zip(zip(lambdas, members),
                                   zip(lambdas[1:], members[1:])):
         oracle = direct_compare(Sa, Sb, grid, tol)
-        if oracle.relation == DOMINATED:
-            direction = "increasing"
-            lo, hi = Sa, Sb
-        elif oracle.relation == DOMINATES:
-            direction = "decreasing"
-            lo, hi = Sb, Sa
-        else:
-            direction = oracle.relation
-            lo, hi = Sa, Sb
+        direction = {DOMINATED: "increasing",
+                     DOMINATES: "decreasing"}.get(oracle.relation, oracle.relation)
+        lo, hi = (Sb, Sa) if oracle.relation == DOMINATES else (Sa, Sb)
         report = run_criterion(criterion, lo, hi, grid, tol)
         directions.add(direction)
         steps.append({
@@ -590,30 +587,52 @@ def family_monotonicity_scan(family: str, fixed_params: dict,
 def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             tol: ToleranceProfile = DEFAULT_TOL,
             criterion: str | None = None) -> ComparisonVerdict:
-    """Public order query: cheap certificates first, grid oracle as fallback.
+    """Public order query: equality and ratio certificates, then the exact test.
 
-    The certificate chain is equality, then generator ratio (tried for
-    S1 <= S2 and for S2 <= S1); the first that holds decides, else
-    :func:`direct_compare` does.  ``criterion`` forces a single named test
-    (its holds/fails outcome is reported next to the oracle verdict via the
-    criterion field).
+    For generator-backed operands, h = g1 o g2^{-1} (normalized pair) is sampled
+    once, u = :func:`map_samples` and hu = h(u), for the equality fit, the ratio
+    scans (one evaluation of each generator) and R = h(u_i + u_j) - h(u_i) - h(u_j):
+    S1 <= S2 iff R <= slack (h subadditive), S2 <= S1 iff -R <= slack (h^{-1}
+    subadditive at h(u_i), h(u_j)).  Both compare the same two values, so the
+    _slack(margin, h(u_i), h(u_j)) round-off allowance serves both.  R is NaN
+    only where h(u_i) + h(u_j) = inf forces h(u_i + u_j) = inf, the exact
+    infinity branch: both hold there.  Witnesses (x, y, S1, S2) at
+    (x, y) = g2^{-1}(u_i, u_j) are the tightest point of EQUAL, DOMINATED and
+    DOMINATES, and one per direction for INCOMPARABLE; a violation without a
+    strict S1 > S2 at its point (S2 > S1 reversed) makes the verdict UNKNOWN.
+    ``criterion`` forces one named test, reported next to the oracle verdict;
+    :class:`Fixture` operands get the oracle.
     """
     both_generated = isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)
     if criterion is not None:
         if not both_generated:
             raise ParameterError("named criteria need generator-backed operands")
         rep = run_criterion(criterion, S1, S2, grid, tol)
-        oracle = direct_compare(S1, S2, grid, tol)
-        return ComparisonVerdict(relation=oracle.relation,
-                                 witnesses=oracle.witnesses,
-                                 criterion=f"{criterion}:{rep.verdict}",
-                                 margin=tol.verdict_margin)
-    if both_generated:
-        if run_criterion("equality", S1, S2, grid, tol).holds:
-            return ComparisonVerdict(EQUAL, [], "equality_test",
-                                     tol.verdict_margin)
-        for lo, hi, relation in ((S1, S2, DOMINATED), (S2, S1, DOMINATES)):
-            if run_criterion("ratio", lo, hi, grid, tol).holds:
-                return ComparisonVerdict(relation, [], "ratio_criterion",
-                                         tol.verdict_margin)
-    return direct_compare(S1, S2, grid, tol)
+        return replace(direct_compare(S1, S2, grid, tol),
+                       criterion=f"{criterion}:{rep.verdict}")
+    if not both_generated:
+        return direct_compare(S1, S2, grid, tol)
+    margin = tol.verdict_margin
+    g1, g2 = _section3_generator(S1), _section3_generator(S2)
+    m = compose(g1, g2, tol)
+    u = map_samples(m, grid)
+    hu = m(u)
+    if _linear_fit(m, u, hu, margin)[0]:
+        return ComparisonVerdict(EQUAL, [], "equality_test", margin)
+    xs = _with_decades(grid, grid.interior)
+    v1, v2 = geval(g1, xs), geval(g2, xs)
+    for num, den, relation in ((v1, v2, DOMINATED), (v2, v1, DOMINATES)):
+        if _ratio_scan(xs, num, den, margin)[0]:
+            return ComparisonVerdict(relation, [], "ratio_criterion", margin)
+    R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
+    (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)
+    X, Y = ginvert(g2, np.array([fwd[:2], rev[:2]]).T, tol)  # at (fwd, rev)
+    s1, s2 = S1.surface(X, Y, tol), S2.surface(X, Y, tol)
+    wits = [tuple(map(float, w)) for w in zip(X, Y, s1, s2)]
+    relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),
+                      (True, False): (DOMINATED, [0]), (False, True): (DOMINATES, [1]),
+                      (False, False): (INCOMPARABLE, [0, 1])}[below, above]
+    if (not below and s1[0] <= s2[0]) or (not above and s2[1] <= s1[1]):
+        relation = UNKNOWN
+    return ComparisonVerdict(relation, [wits[k] for k in keep],
+                             "subadditivity_test", margin)

@@ -80,6 +80,15 @@ class TestCompare:
         assert "verdict: incomparable" in out
         assert out.count("witness: ") == 2
 
+    def test_product_vs_rational_witnesses(self, capsys):
+        # the residual matrix decides; S1 > S2 at the corner, S1 < S2 near 0
+        assert main(["compare", "product", "rational:a=0.5"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["criterion: subadditivity_test", "verdict: incomparable"]
+        witnesses = [line for line in out if line.startswith("witness: ")]
+        assert len(witnesses) == 2
+        assert "witness: 1 1 1 0.666666667" in witnesses
+
     def test_equal(self, capsys):
         assert main(["compare", "product", "product"]) == EXIT_OK
         assert "verdict: equal" in capsys.readouterr().out
