@@ -102,10 +102,11 @@ class IntervalGrid:
 class Generator:
     """An additive generator s : [0,1] -> [s(1), inf].
 
-    ``fn`` evaluates s on (0,1] (vectorized over numpy arrays); x = 0 maps to
-    inf in :func:`geval` regardless of what ``fn`` does there.  When given,
-    ``inverse_fn`` must map [s(1), inf] back to [0,1] and tolerate ``inf``
-    (returning 0); without it :func:`ginvert` solves s(x) = u numerically.
+    ``fn`` is called on whole arrays, x = 0 included, with floating-point
+    errors suppressed, so it must be a vectorized numpy expression with no side
+    effects; :func:`geval` makes x = 0 and NaN results inf.  A closed
+    ``inverse_fn`` maps [s(1), inf] back to [0,1]; :func:`ginvert` makes inf
+    targets and NaN results 0.  Without it s(x) = u is solved numerically.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -124,26 +125,21 @@ class Generator:
         return geval(self, x)
 
 
-def _check_unit_interval(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr < 0) or np.any(arr > 1):
-        raise DomainError(f"argument {x!r} outside [0, 1]")
-    return arr
+def _as_1d(v) -> tuple[np.ndarray, bool]:
+    """``v`` as a float array of at least 1-d (numpy's 0-d loops may round
+    differently), and whether it was a scalar."""
+    arr = np.asarray(v, dtype=float)
+    return np.atleast_1d(arr), arr.ndim == 0
 
 
 def geval(g: Generator, x):
-    """Evaluate s(x) for x in [0,1]; exactly inf at x = 0."""
-    arr = _check_unit_interval(x)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.full(arr.shape, INF)
-    pos = arr > 0
-    if np.any(pos):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            vals = np.asarray(g.fn(arr[pos]), dtype=float)
-        # a closed form may produce nan at an interior overflow; promote to inf
-        vals = np.where(np.isnan(vals), INF, vals)
-        out[pos] = vals
+    """Evaluate s(x) for x in [0,1]; exactly inf at x = 0 and where ``fn`` is NaN."""
+    arr, scalar = _as_1d(x)
+    if not (arr.min(initial=0.0) >= 0 and arr.max(initial=1.0) <= 1):  # NaN fails
+        raise DomainError(f"argument {x!r} outside [0, 1]")
+    with np.errstate(all="ignore"):
+        vals = np.asarray(g.fn(arr), dtype=float)
+    out = np.where((arr == 0) | np.isnan(vals), INF, vals)
     return float(out[0]) if scalar else out
 
 
@@ -183,7 +179,8 @@ def _bracket_invert(g: Generator, u: np.ndarray, tol: ToleranceProfile) -> np.nd
     [a + eps, b - eps], so a bracket within eps of the root closes on the
     next step; where s(a) is inf (an overflow) the step is a midpoint.  After
     ``_ILLINOIS_STEPS`` steps every other step bisects, which bounds the worst
-    case.  Targets are polished in chunks of ``SOLVER_CHUNK``.
+    case.  A closed bracket stays as it is, so a result depends on its target
+    alone.  Targets are polished in chunks of ``SOLVER_CHUNK``.
     """
     eps = 0.5 * tol.inversion_tol
     nodes = _bracket_table(eps)
@@ -214,8 +211,8 @@ def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
             if 2 * ndone >= idx.size:  # compact once half the active set has closed
                 out[idx[done]] = 0.5 * (a[done] + b[done])
                 keep = np.flatnonzero(~done)
-                idx, u, a, b, fa, fb, moved_a = (
-                    arr[keep] for arr in (idx, u, a, b, fa, fb, moved_a))
+                idx, u, a, b, fa, fb, moved_a, done = (
+                    arr[keep] for arr in (idx, u, a, b, fa, fb, moved_a, done))
             if step >= _ILLINOIS_STEPS and step % 2:
                 x = a + b
                 x *= 0.5
@@ -228,6 +225,7 @@ def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
                     x[nan] = 0.5 * (a[nan] + b[nan])
             np.maximum(x, a + eps, out=x)
             np.minimum(x, b - eps, out=x)
+            np.copyto(x, b, where=done)  # s(b) <= u keeps a closed bracket as it is
             fx = geval(g, x)
             fx -= u
             high = fx > 0  # s(x) > u: the root is right of x
@@ -251,38 +249,34 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
     A closed ``inverse_fn`` is evaluated directly; without one, s(x) = u is
     solved to within inversion_tol / 2 by a bracketed root finder.
     """
-    arr = np.asarray(u, dtype=float)
-    if np.any(np.isnan(arr)):
-        raise DomainError("cannot invert NaN")
-    if np.any(arr < g.boundary_at_one - tol.inversion_tol):
-        bad = np.min(arr)
+    arr, scalar = _as_1d(u)
+    low = arr.min(initial=INF)
+    if not low >= g.boundary_at_one - tol.inversion_tol:
+        if np.isnan(low):
+            raise DomainError("cannot invert NaN")
         raise DomainError(
-            f"value {bad!r} below s(1) = {g.boundary_at_one}; use pseudo_invert")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(np.maximum(arr, g.boundary_at_one))
-    out = np.zeros(arr.shape)
-    fin = np.isfinite(arr)
-    if np.any(fin):
-        if g.inverse_fn is not None:
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                vals = np.asarray(g.inverse_fn(arr[fin]), dtype=float)
-            out[fin] = np.clip(np.where(np.isnan(vals), 0.0, vals), 0.0, 1.0)
-        else:
+            f"value {low!r} below s(1) = {g.boundary_at_one}; use pseudo_invert")
+    arr = np.maximum(arr, g.boundary_at_one)
+    if g.inverse_fn is None:
+        out = np.zeros(arr.shape)
+        fin = np.isfinite(arr)
+        if fin.any():  # the solver's table costs hundreds of fn points
             out[fin] = _bracket_invert(g, arr[fin], tol)
+    else:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(g.inverse_fn(arr), dtype=float)
+        out = np.where(np.isnan(vals) | (arr == INF), 0.0, vals)
+        np.clip(out, 0.0, 1.0, out=out)
     return float(out[0]) if scalar else out
 
 
 def pseudo_invert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
-    """sup{x | s(x) > u}: clamps to 1 below s(1), the true inverse above."""
-    arr = np.asarray(u, dtype=float)
-    if np.any(np.isnan(arr)):
+    """sup{x | s(x) > u}: 1 at or below s(1), the true inverse above."""
+    arr, scalar = _as_1d(u)
+    if np.isnan(arr.min(initial=INF)):
         raise DomainError("cannot pseudo-invert NaN")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.ones(arr.shape)
-    above = arr > g.boundary_at_one
-    if np.any(above):
-        out[above] = ginvert(g, arr[above], tol)
+    b = g.boundary_at_one
+    out = np.where(arr > b, ginvert(g, np.maximum(arr, b), tol), 1.0)
     return float(out[0]) if scalar else out
 
 
@@ -336,16 +330,20 @@ def affine_shift(g: Generator, c: float, b: float) -> Generator:
     )
 
 
-def derivative(g: Generator, x: float, tol: ToleranceProfile = DEFAULT_TOL) -> float:
-    """Finite-difference s'(x) on (0,1); negative for any valid generator."""
-    if not 0 < x < 1 or math.isnan(x):
+def derivative(g: Generator, x, tol: ToleranceProfile = DEFAULT_TOL):
+    """Finite-difference s'(x) on (0,1), elementwise; negative for any valid
+    generator.  Central, or one-sided where the step would leave (0, 1)."""
+    arr, scalar = _as_1d(x)
+    if not (arr.min(initial=0.5) > 0 and arr.max(initial=0.5) < 1):  # NaN fails
         raise DomainError(f"derivative needs x in (0, 1), got {x!r}")
-    h = tol.derivative_step * max(1.0, abs(x))
-    if x - h <= 0:
-        return (geval(g, x + h) - geval(g, x)) / h
-    if x + h >= 1:
-        return (geval(g, x) - geval(g, x - h)) / h
-    return (geval(g, x + h) - geval(g, x - h)) / (2 * h)
+    h = tol.derivative_step
+    fwd = arr - h <= 0
+    bwd = ~fwd & (arr + h >= 1)
+    lo = np.where(fwd, arr, arr - h)
+    hi = np.where(bwd, arr, arr + h)
+    with np.errstate(over="ignore", invalid="ignore"):  # near 0: inf - inf, huge quotients
+        out = (geval(g, hi) - geval(g, lo)) / np.where(fwd | bwd, h, 2 * h)
+    return float(out[0]) if scalar else out
 
 
 def validate_generator(g: Generator, grid: IntervalGrid | None = None,
@@ -375,19 +373,17 @@ def validate_generator(g: Generator, grid: IntervalGrid | None = None,
             f"{g.label}: not strictly decreasing near x = {xs[i]:.6g}")
     # sampled continuity: a 1e-6 step must move the value by a tiny fraction
     interior = grid.points[(grid.points > 2 * grid.epsilon_floor) & (grid.points < 1)]
-    if interior.size:
-        base = geval(g, interior)
-        jump = np.abs(geval(g, interior + grid.epsilon_floor) - base)
-        if np.any(jump > 1e-2 * np.maximum(1.0, np.abs(base))):
-            worst = interior[int(np.argmax(jump))]
-            raise GeneratorValidationError(
-                f"{g.label}: discontinuity suspected near x = {worst:.6g}")
-    # round-trip on a few range values
-    us = vals[np.isfinite(vals)][:8]
-    if us.size:
-        back = geval(g, ginvert(g, us, tol))
-        if np.any(np.abs(back - us) > 1e-6 * np.maximum(1.0, np.abs(us))):
-            raise GeneratorValidationError(f"{g.label}: inversion round trip failed")
+    base = geval(g, interior)
+    jump = np.abs(geval(g, interior + grid.epsilon_floor) - base)
+    if np.any(jump > 1e-2 * np.maximum(1.0, np.abs(base))):
+        worst = interior[int(np.argmax(jump))]
+        raise GeneratorValidationError(
+            f"{g.label}: discontinuity suspected near x = {worst:.6g}")
+    # round-trip on a few range values, all finite by now
+    us = vals[:8]
+    back = geval(g, ginvert(g, us, tol))
+    if np.any(np.abs(back - us) > 1e-6 * np.maximum(1.0, np.abs(us))):
+        raise GeneratorValidationError(f"{g.label}: inversion round trip failed")
 
 
 def closed_form(fn, inverse_fn, boundary_at_one, label, family=None, params=()):

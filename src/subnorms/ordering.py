@@ -233,7 +233,8 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     """Pointwise scan on 0, the grid and its decade points; the ground truth."""
     pts = np.concatenate([[0.0], _with_decades(grid, grid.points)])
     X, Y = pts[:, None], pts[None, :]
-    d = S1.surface(X, Y, tol) - S2.surface(X, Y, tol)
+    d = S1.surface(X, Y, tol)
+    d -= S2.surface(X, Y, tol)
     m = tol.verdict_margin
     hi, lo = float(np.max(d)), float(np.min(d))
 
@@ -371,10 +372,8 @@ def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
     xs = grid.points[(grid.points >= lo) & (grid.points <= 1 - 1e-4)]
     if xs.size < 3:
         xs = np.linspace(0.05, 0.95, 19)
-    d1 = np.array([derivative(s1, float(x), tol) for x in xs])
-    d2 = np.array([derivative(s2, float(x), tol) for x in xs])
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
-            and np.all(d2 != 0)):
+    d1, d2 = derivative(s1, xs, tol), derivative(s2, xs, tol)
+    if not (np.isfinite(d1).all() and np.isfinite(d2).all() and d2.all()):
         return CriterionReport("derivative_ratio_criterion", NOT_APPLICABLE,
                                notes="non-finite derivative samples")
     # finite differences carry more noise than closed forms; widen the slack

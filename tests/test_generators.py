@@ -20,6 +20,8 @@ from subnorms import (
     affine_shift,
     closed_form,
     derivative,
+    evaluate,
+    from_generator,
     geval,
     ginvert,
     normalize,
@@ -50,6 +52,11 @@ EXTENDED_SPECS = (
 CATALOG_GENERATORS = [S.generator for S in catalog()]
 
 
+def numeric_twin_of_rational():
+    """rational(0.5), s(x) = 2/x - 1, without its closed inverse."""
+    return numeric_inverse(rational_generator(0.5).fn, 1.0, "rational(a=0.5)/numeric")
+
+
 def bisect_oracle(fn, target, lo=0.0, hi=1.0, iters=100):
     """Independent root bracketing for a decreasing fn; the inversion oracle."""
     for _ in range(iters):
@@ -61,11 +68,22 @@ def bisect_oracle(fn, target, lo=0.0, hi=1.0, iters=100):
     return 0.5 * (lo + hi)
 
 
+# fn(0) is inf, finite (1e300 - 1) and NaN (0/0); geval(0) is inf all the same
+ZERO_RULES = [
+    product_generator(),
+    numeric_inverse(lambda x: 1.0 / (x + 1e-300) - 1.0, 0.0, "finite_at_0"),
+    numeric_inverse(lambda x: (1.0 - x) * x / (x * x), 0.0, "nan_at_0"),
+]
+NAN_INPUTS = [math.nan, np.array([0.5, math.nan])]
+
+
 class TestEvaluation:
     def test_zero_maps_to_exact_infinity(self):
-        g = product_generator()
-        assert geval(g, 0.0) == INF
-        assert math.isinf(geval(g, 0.0))
+        for g in ZERO_RULES:
+            assert geval(g, 0.0) == INF, g.label
+            assert math.isinf(geval(g, 0.0))
+            out = geval(g, np.array([0.0, 0.5, 0.0]))
+            assert out[0] == INF and out[2] == INF and math.isfinite(out[1]), g.label
 
     def test_boundary_at_one(self):
         assert geval(product_generator(), 1.0) == 0.0
@@ -80,9 +98,32 @@ class TestEvaluation:
 
     def test_rejects_out_of_range(self):
         g = product_generator()
-        for bad in (-0.1, 1.1, math.nan):
-            with pytest.raises(DomainError):
+        for bad in (-0.1, 1.1, math.nan, np.array([0.5, 1.1]), np.array([-0.1, 0.5])):
+            with pytest.raises(DomainError, match="outside"):
                 geval(g, bad)
+
+    @pytest.mark.parametrize("call, message", [
+        (geval, "outside"),
+        (ginvert, "cannot invert NaN"),
+        (pseudo_invert, "cannot pseudo-invert NaN"),
+        (derivative, "derivative needs"),
+        (lambda g, v: evaluate(from_generator(g), v, 0.5), "NaN argument"),
+        (lambda g, v: evaluate(from_generator(g), 0.5, v), "NaN argument"),
+    ], ids=["geval", "ginvert", "pseudo_invert", "derivative", "evaluate_x", "evaluate_y"])
+    @pytest.mark.parametrize("bad", NAN_INPUTS, ids=["scalar", "array"])
+    @pytest.mark.parametrize("g", [rational_generator(0.5), numeric_twin_of_rational()],
+                             ids=["closed", "numeric"])
+    def test_nan_raises_domain_error(self, call, message, bad, g):
+        with pytest.raises(DomainError, match=message):
+            call(g, bad)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("call", [geval, ginvert, pseudo_invert, derivative],
+                             ids=["geval", "ginvert", "pseudo_invert", "derivative"])
+    @pytest.mark.parametrize("g", [rational_generator(0.5), numeric_twin_of_rational()],
+                             ids=["closed", "numeric"])
+    def test_empty_arrays_keep_their_shape(self, shape, call, g):
+        assert call(g, np.empty(shape)).shape == shape
 
     def test_infinity_saturates_under_addition(self):
         g = product_generator()
@@ -97,7 +138,15 @@ class TestInversion:
             assert geval(g, ginvert(g, u)) == pytest.approx(u, rel=1e-9)
 
     def test_infinity_inverts_to_zero(self):
-        assert ginvert(product_generator(), INF) == 0.0
+        # the second inverse, 1/(1+u) + 0*(u*u), is NaN at u = inf and where
+        # u*u overflows; NaN results give 0 like inf targets
+        nan_at_inf = closed_form(hamacher0_generator().fn,
+                                 lambda u: 1.0 / (1.0 + u) + 0.0 * (u * u), 0.0, "nan_at_inf")
+        for g in (product_generator(), nan_at_inf):
+            assert ginvert(g, INF) == 0.0, g.label
+            out = ginvert(g, np.array([INF, geval(g, 0.5), INF, 1e200]))
+            assert out[0] == 0.0 and out[2] == 0.0 and out[3] == 0.0, g.label
+            assert out[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_below_range_raises(self):
         g = rational_generator(0.5)  # s(1) = 1
@@ -113,10 +162,13 @@ class TestInversion:
         assert ginvert(g, 3.0) == pytest.approx(expected, abs=1e-9)
 
     def test_pseudo_inverse_clamps_below_boundary(self):
-        g = rational_generator(0.5)
-        assert pseudo_invert(g, 0.5) == 1.0
-        assert pseudo_invert(g, 0.0) == 1.0
-        assert pseudo_invert(g, 3.0) == pytest.approx(0.5, abs=1e-12)
+        for g in (rational_generator(0.5), numeric_twin_of_rational(),
+                  affine_shift(product_generator(), 1.0, 0.3)):
+            b = g.boundary_at_one
+            for u in (0.5 * b, 0.0, b):  # below and at s(1)
+                assert pseudo_invert(g, u) == 1.0, g.label
+            np.testing.assert_array_equal(pseudo_invert(g, np.array([0.0, 0.5 * b, b])), 1.0)
+            assert pseudo_invert(g, geval(g, 0.5)) == pytest.approx(0.5, abs=1e-12)
 
     @given(st.floats(min_value=1e-6, max_value=1.0))
     @settings(max_examples=60, deadline=None)
@@ -243,9 +295,26 @@ class TestDerivative:
 
     def test_requires_interior_point(self):
         g = product_generator()
-        for bad in (0.0, 1.0, -0.5, math.nan):
+        for bad in (0.0, 1.0, -0.5, math.nan, np.array([0.5, 1.0]), np.array([0.0, 0.5])):
             with pytest.raises(DomainError):
                 derivative(g, bad)
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
+    def test_array_matches_pointwise_differences(self, g):
+        # central differences inside, one-sided within a step of 0 and of 1
+        h = DEFAULT_TOL.derivative_step
+
+        def pointwise(x):
+            if x - h <= 0:
+                return (geval(g, x + h) - geval(g, x)) / h
+            if x + h >= 1:
+                return (geval(g, x) - geval(g, x - h)) / h
+            return (geval(g, x + h) - geval(g, x - h)) / (2 * h)
+
+        xs = np.concatenate([[1e-7, 5e-7, h, 1 - h, 1 - 5e-7, 1 - 1e-7],
+                             np.linspace(0.0, 1.0, 101)[1:-1]])
+        np.testing.assert_array_equal(derivative(g, xs), [pointwise(float(x)) for x in xs])
+        assert derivative(g, float(xs[0])) == pointwise(float(xs[0]))
 
 
 class TestValidation:

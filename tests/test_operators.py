@@ -20,6 +20,7 @@ from subnorms import (
     from_generator,
     lukasiewicz_fixture,
     make_family,
+    numeric_inverse,
     yager_fixture,
 )
 from subnorms.operators import FAMILY_NAMES
@@ -230,6 +231,45 @@ class TestEvaluate:
         S = make_family(FamilySpec("product"))
         xs = np.array([0.2, 0.5, 1.0])
         np.testing.assert_allclose(evaluate(S, xs, xs), xs * xs, atol=1e-12)
+
+
+def numeric_member():
+    """aa_sub(a=0.5, l=2) without its closed inverse: every inversion solves."""
+    g = make_family(FamilySpec("aa_sub", {"a": 0.5, "l": 2.0})).generator
+    return from_generator(numeric_inverse(g.fn, g.boundary_at_one, "aa_sub/numeric"))
+
+
+class TestBlockedSurface:
+    """surface inverts blocks of leading-axis rows; each row must not depend on its block."""
+
+    MEMBERS = [make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0})), numeric_member()]
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
+    def test_square_matches_rows(self, S):
+        ax = np.linspace(0.0, 1.0, 401)
+        X, Y = ax[:, None], ax[None, :]
+        Z = S.surface(X, Y)
+        assert Z.shape == (401, 401)
+        np.testing.assert_array_equal(Z, np.vstack([S.surface(X[i:i + 1], Y)
+                                                    for i in range(ax.size)]))
+        np.testing.assert_array_equal(Z[::80, ::80], [[S.surface(x, y) for y in ax[::80]]
+                                                      for x in ax[::80]])
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
+    def test_associativity_broadcast_matches_rows(self, S):
+        # the 3-D broadcast of check_axioms
+        sub = np.linspace(0.0, 1.0, 12)[1:]
+        A, B, C = sub[:, None, None], sub[None, :, None], sub[None, None, :]
+        left = S.surface(S.surface(A, B), C)
+        assert left.shape == (11, 11, 11)
+        np.testing.assert_array_equal(left, np.concatenate(
+            [S.surface(S.surface(A[i:i + 1], B), C) for i in range(sub.size)]))
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
+    @pytest.mark.parametrize("shapes", [((0, 1), (1, 5)), ((4, 1), (1, 0)), ((0,), (0,))])
+    def test_empty_inputs_keep_their_shape(self, S, shapes):
+        x, y = (np.empty(shape) for shape in shapes)
+        assert S.surface(x, y).shape == np.broadcast_shapes(*shapes)
 
 
 class TestValidationOnConstruction:
