@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -63,16 +64,8 @@ def parse_operator_spec(text: str) -> FamilySpec:
     if name not in FAMILY_NAMES:
         raise SpecSyntaxError(
             f"unknown operator {name!r}; known: {', '.join(sorted(FAMILY_NAMES))}")
-    params: dict[str, float] = {}
-    if tail:
-        for item in tail.split(","):
-            key, eq, val = item.partition("=")
-            if not eq or not key.strip():
-                raise SpecSyntaxError(f"bad parameter {item!r}, expected key=val")
-            try:
-                params[key.strip()] = float(val)
-            except ValueError:
-                raise SpecSyntaxError(f"non-numeric value in {item!r}") from None
+    params = _key_values(tail, bool, lambda item:
+                         f"bad parameter {item!r}, expected key=val") if tail else {}
     return FamilySpec(name, params)
 
 
@@ -81,18 +74,29 @@ def parse_tol(text: str | None) -> ToleranceProfile:
     if not text:
         return DEFAULT_TOL
     fields = {f.name for f in dataclasses.fields(ToleranceProfile)}
-    overrides: dict[str, float] = {}
+    overrides = _key_values(text, fields.__contains__, lambda item: (
+        f"bad tolerance override {item!r}; fields: {', '.join(sorted(fields))}"))
+    return dataclasses.replace(DEFAULT_TOL, **overrides)
+
+
+def _key_values(text: str, key_ok: Callable[[str], bool],
+                bad_item: Callable[[str], str]) -> dict[str, float]:
+    """``key=val[,key=val]`` as {stripped key: float(val)}.
+
+    An item without '=' or whose key fails ``key_ok`` raises SpecSyntaxError
+    with message ``bad_item(item)``; a non-numeric value raises it too.
+    """
+    out: dict[str, float] = {}
     for item in text.split(","):
         key, eq, val = item.partition("=")
         key = key.strip()
-        if not eq or key not in fields:
-            raise SpecSyntaxError(
-                f"bad tolerance override {item!r}; fields: {', '.join(sorted(fields))}")
+        if not eq or not key_ok(key):
+            raise SpecSyntaxError(bad_item(item))
         try:
-            overrides[key] = float(val)
+            out[key] = float(val)
         except ValueError:
             raise SpecSyntaxError(f"non-numeric value in {item!r}") from None
-    return dataclasses.replace(DEFAULT_TOL, **overrides)
+    return out
 
 
 def _operator(text: str, tol: ToleranceProfile):

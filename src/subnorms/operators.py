@@ -29,9 +29,6 @@ from .generators import (
     validate_generator,
 )
 
-STRICT_TNORM = "strict_tnorm"
-PROPER_SUBNORM = "proper_subnorm"
-
 LN2 = math.log(2.0)
 
 
@@ -39,12 +36,10 @@ LN2 = math.log(2.0)
 class TSubnorm:
     """S(x, y) = s^{(-1)}(s(x) + s(y)) for a strictly decreasing generator s.
 
-    Strict t-norm iff s(1) = 0; proper subnorm iff S(1,1) < 1.
+    Strict t-norm iff s(1) = 0; proper subnorm iff S(1,1) < 1, i.e. s(1) > 0.
     """
 
     generator: Generator
-    classification: str
-    label: str
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
         """Vectorized evaluation without per-element domain checks.
@@ -66,12 +61,16 @@ class TSubnorm:
         return evaluate(self, x, y)
 
     @property
+    def label(self) -> str:
+        return self.generator.label
+
+    @property
     def is_strict(self) -> bool:
-        return self.classification == STRICT_TNORM
+        return self.generator.boundary_at_one == 0
 
     @property
     def is_proper(self) -> bool:
-        return self.classification == PROPER_SUBNORM
+        return not self.is_strict
 
 
 @dataclass(frozen=True)
@@ -100,8 +99,7 @@ def from_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL,
                    grid: IntervalGrid | None = None) -> TSubnorm:
     """Build the induced operator after validating the generator invariants."""
     validate_generator(g, grid, tol)
-    cls = STRICT_TNORM if g.boundary_at_one == 0 else PROPER_SUBNORM
-    return TSubnorm(generator=g, classification=cls, label=g.label)
+    return TSubnorm(g)
 
 
 def evaluate(S: Operator, x, y, tol: ToleranceProfile = DEFAULT_TOL):
@@ -177,10 +175,13 @@ def check_axioms(S: Operator, grid: IntervalGrid,
     bound = _axiom(vals - np.minimum(X, Y), m, X, Y)
 
     # cancellativity <=> strict monotonicity in each variable (continuous case)
+    # (a one-point grid has no steps: passed, as for monotonicity)
     inc = np.diff(vals, axis=1)
-    flat = bool(np.min(inc) < tol.inversion_tol)
-    canc = AxiomCheck(not flat, float(np.min(inc)),
-                      _argmax_witness(-inc, X, Y[:, :-1]) if flat else None)
+    canc = AxiomCheck(True)
+    if inc.size:
+        flat = bool(np.min(inc) < tol.inversion_tol)
+        canc = AxiomCheck(not flat, float(np.min(inc)),
+                          _argmax_witness(-inc, X, Y[:, :-1]) if flat else None)
 
     return AxiomReport(comm, assoc, mono, bound, canc)
 

@@ -4,9 +4,12 @@ A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
 decade points the criteria sample near 0.  Every other test here is a criterion
 on the composed map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2
 exactly (superadditivity S2 <= S1); linearity characterizes equality; concavity
-(with h(u) <= u*h(d)/d when d = s2(1) > 0), generator ratio, ratio profile and
-derivative ratio are sufficient certificates; submultiplicative-additivity
-handles dominance by a strict t-norm through its product isomorphism.  The
+(with h(u) <= u*h(d)/d when d = s2(1) > 0), generator ratio and ratio profile
+are sufficient certificates.  Three named criteria restate these in other
+coordinates and run the same test: the derivative ratio s1'/s2' is concavity
+of h, and submultiplicative-additivity and logarithmic equality (dominance by
+and equality with a strict t-norm t, through its product isomorphism
+w = -ln u) are subadditivity and linearity of h = s o t^{-1}.  The
 public :func:`compare` runs the equality and ratio certificates, then one
 residual matrix of h for both directions, and records which path decided.
 """
@@ -24,7 +27,6 @@ from .generators import (
     IntervalGrid,
     ParameterError,
     ToleranceProfile,
-    derivative,
     geval,
     ginvert,
     normalize,
@@ -367,76 +369,60 @@ def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
 
 def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
                                tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """s1'/s2' non-decreasing, plus s1*s2(1) <= s2*s1(1) when s2(1) > 0 => S1 <= S2."""
-    lo = max(float(grid.points[0]), 1e-4)
-    xs = grid.points[(grid.points >= lo) & (grid.points <= 1 - 1e-4)]
-    if xs.size < 3:
-        xs = np.linspace(0.05, 0.95, 19)
-    d1, d2 = derivative(s1, xs, tol), derivative(s2, xs, tol)
-    if not (np.isfinite(d1).all() and np.isfinite(d2).all() and d2.all()):
-        return CriterionReport("derivative_ratio_criterion", NOT_APPLICABLE,
-                               notes="non-finite derivative samples")
-    # finite differences carry more noise than closed forms; widen the slack
-    holds, wc = _monotone_scan(xs, d1 / d2, 1e-4, falling=True)
-    notes = "derivative ratio decreases"
-    b1, b2 = s1.boundary_at_one, s2.boundary_at_one
-    if holds and b2 > 0:
-        v1, v2 = geval(s1, xs), geval(s2, xs)
-        below, side_wc = _worst(
-            v1 * b2 - v2 * b1, tol.verdict_margin * np.maximum(1.0, np.abs(v2)), xs)
-        if not below:
-            holds, wc = False, side_wc
-            notes = "s1*s2(1) <= s2*s1(1) fails (side condition for s2(1) > 0)"
-    return _report("derivative_ratio_criterion", holds, wc, notes)
+    """s1'/s2' non-decreasing, plus s1*s2(1) <= s2*s1(1) when s2(1) > 0 => S1 <= S2.
+
+    Runs :func:`concavity_criterion` on h = s1 o s2^{-1}: h'(s2(x)) =
+    s1'(x)/s2'(x) and s2 decreases, so the ratio is non-decreasing in x iff h'
+    is non-increasing in u, and the side condition is h(u) <= u*h(d)/d with
+    d = s2(1).  Witness and notes are concavity's, in u = s2(x).
+    """
+    return replace(concavity_criterion(compose(s1, s2, tol), grid, tol),
+                   criterion="derivative_ratio_criterion")
 
 
 # ---------------------------------------------------------------------------
-# dominance by / equality with a strict t-norm
+# dominance by / equality with a strict t-norm: with w = -ln u, g(u) =
+# s(t^{-1}(-ln u)) is h(w) for h = s o t^{-1}, and u*v maps to w + w'
 
 
-def _product_transport(s: Generator, t: Generator, u: np.ndarray,
-                       tol: ToleranceProfile) -> np.ndarray:
-    """g(u) = s(t^{-1}(-ln u)) on (0,1]; t's product isomorphism pullback."""
-    with np.errstate(divide="ignore"):
-        w = -np.log(u)
-    return geval(s, ginvert(t, w, tol))
+def _renamed(rep: CriterionReport, name: str, failure: str) -> CriterionReport:
+    """rep under ``name``, its FAILS note replaced by ``failure``."""
+    return replace(rep, criterion=name, notes=rep.notes if rep.holds else failure)
 
 
 def strict_dominance_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
                           tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """S <= T iff g(u) = s(t^{-1}(-ln u)) is submultiplicative-additive."""
+    """S <= T iff g(u) = s(t^{-1}(-ln u)) is submultiplicative-additive.
+
+    g(u*v) <= g(u) + g(v) is h(w + w') <= h(w) + h(w'), so this runs
+    :func:`subadditivity_test` on h = normalize(s) o t^{-1}; the witness is
+    (w, w', residual).
+    """
     if not isinstance(T, TSubnorm) or not T.is_strict:
         return CriterionReport("strict_dominance_test", NOT_APPLICABLE,
                                notes="right operand is not a strict t-norm")
     if not (isinstance(S, TSubnorm) and S.is_proper):
         return CriterionReport("strict_dominance_test", NOT_APPLICABLE,
                                notes="left operand is not proper")
-    s = normalize(S.generator)
-    t = T.generator
-    u = _with_decades(grid, grid.points)
-    holds, wc = _pair_scan(u, _product_transport(s, t, u, tol),
-                           lambda w: _product_transport(s, t, w, tol),
-                           np.multiply, _excess, tol.verdict_margin)
-    return _report("strict_dominance_test", holds, wc,
-                   "submultiplicative-additivity fails")
+    rep = subadditivity_test(compose(normalize(S.generator), T.generator, tol), grid, tol)
+    return _renamed(rep, "strict_dominance_test", "submultiplicative-additivity fails")
 
 
 def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
                               tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """S = T iff g(u) = s(t^{-1}(-ln u)) is c*w, w = -ln u, c > 0 (witness in w)."""
+    """S = T iff g(u) = s(t^{-1}(-ln u)) is c*w, w = -ln u, c > 0.
+
+    g = c*w is h = s o t^{-1} linear, so this runs :func:`equality_test` on h;
+    the witness is (w, residual) and ``details["c"]`` the fitted slope.
+    """
     if not isinstance(T, TSubnorm) or not T.is_strict:
         return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
                                notes="right operand is not a strict t-norm")
     if not isinstance(S, TSubnorm):
         return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
                                notes="left operand has no generator")
-    s, t = S.generator, T.generator
-    u = _with_decades(grid, grid.interior)
-    logarithmic, wc, c = _linear_fit(
-        lambda w: _product_transport(s, t, np.exp(-w), tol), -np.log(u),
-        _product_transport(s, t, u, tol), tol.verdict_margin)
-    return _report("logarithmic_equality_test", logarithmic, wc,
-                   "g is not logarithmic", c=c)
+    rep = equality_test(compose(S.generator, T.generator, tol), grid, tol)
+    return _renamed(rep, "logarithmic_equality_test", "g is not logarithmic")
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,13 @@ class TestClassification:
         assert any(S.is_strict for S in members)
         assert any(S.is_proper for S in members)
 
+    @pytest.mark.parametrize("S", catalog(), ids=lambda S: S.label)
+    def test_read_from_the_generator(self, S):
+        # strict iff s(1) = 0 iff S(1,1) = 1; proper otherwise
+        assert S.label == S.generator.label
+        assert S.is_strict == (S.generator.boundary_at_one == 0) == (S(1.0, 1.0) == 1.0)
+        assert S.is_proper != S.is_strict
+
 
 class TestAxioms:
     @pytest.mark.parametrize("S", catalog(), ids=lambda S: S.label)
@@ -126,6 +133,14 @@ class TestAxioms:
     def test_noncancellative_fixture_flagged(self):
         report = check_axioms(lukasiewicz_fixture(), GRID)
         assert not report.cancellative_sampled.passed
+
+    @pytest.mark.parametrize("S", [catalog()[5], lukasiewicz_fixture()],
+                             ids=lambda S: S.label)
+    def test_one_point_grid(self, S):
+        # grid [1]: no steps to test, so monotonicity and cancellativity pass
+        report = check_axioms(S, IntervalGrid.uniform(2))
+        assert report.monotone.passed and report.cancellative_sampled.passed
+        assert report.all_pass
 
     @given(x=unit, y=unit)
     @settings(max_examples=40, deadline=None)

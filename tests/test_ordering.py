@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,18 @@ class TestSufficientCertificates:
         assert derivative_ratio_criterion(
             H.generator, R.generator, GRID).verdict == FAILS
 
+    def test_derivative_ratio_is_concavity_of_h(self):
+        # s1'/s2' non-decreasing in x is h' non-increasing in u = s2(x); the
+        # ratio drops only below x ~ 1e-3, under the grid, where h is sampled
+        # at the decade points
+        s1 = make_family(FamilySpec("dombi_sub", {"a": 0.2, "l": 0.3})).generator
+        s2 = make_family(FamilySpec("aa_tnorm", {"l": 3.0})).generator
+        rep = derivative_ratio_criterion(s1, s2, GRID)
+        assert rep.verdict == FAILS
+        concave = concavity_criterion(compose(s1, s2), GRID)
+        assert (rep.verdict, rep.worst_case, rep.notes) \
+            == (concave.verdict, concave.worst_case, concave.notes)
+
 
 class TestConverseFailures:
     def test_psi_construction(self):
@@ -230,6 +243,22 @@ class TestStrictTnormDominance:
         HP = make_family(FamilySpec("half_product"))
         H = make_family(FamilySpec("hamacher0"))
         assert strict_dominance_test(HP, H, GRID).verdict == HOLDS
+
+    def test_superadditive_pair_fails(self):
+        # rational(0.5) and aa_tnorm(3) are incomparable
+        R = make_family(FamilySpec("rational", {"a": 0.5}))
+        A = make_family(FamilySpec("aa_tnorm", {"l": 3.0}))
+        rep = strict_dominance_test(R, A, GRID)
+        assert (rep.verdict, rep.notes) == (FAILS, "submultiplicative-additivity fails")
+
+    def test_no_overflow_warning(self):
+        # t^{-1} underflows and s overflows at large w; no inf - inf residual
+        S = make_family(FamilySpec("ss_sub", {"a": 0.2, "l": -4.0}))
+        T = make_family(FamilySpec("aa_tnorm", {"l": 0.5}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = strict_dominance_test(S, T, GRID)
+        assert rep.verdict in (HOLDS, FAILS)
 
     def test_not_applicable_cases(self):
         P = make_family(FamilySpec("product"))
@@ -421,6 +450,18 @@ class TestReferenceVerdicts:
     def test_extended_catalog(self, ref):
         members = [make_family(parse_operator_spec(text)) for text in ref["members"]]
         wrong = self.disagreements(ref, members)
+        assert wrong == []
+
+    def test_strict_dominance(self, ref):
+        # where it applies, the criterion is exact: HOLDS iff S1 <= S2
+        members = [make_family(parse_operator_spec(text)) for text in ref["members"]]
+        wrong = []
+        for i, S1 in enumerate(members):
+            for j, S2 in enumerate(members):
+                rep = strict_dominance_test(S1, S2, GRID)
+                if i != j and rep.verdict != NOT_APPLICABLE and rep.holds \
+                        != (ref["codes"][ref["verdicts"][i][j]] in (DOMINATED, EQUAL)):
+                    wrong.append((S1.label, S2.label, rep.verdict))
         assert wrong == []
 
     def test_numeric_twins(self, ref):
