@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .generators import DEFAULT_TOL, INF, IntervalGrid, ToleranceProfile, geval
+from .operators import _worst
 from .ordering import (
     ComposedMap,
     CriterionReport,
@@ -24,10 +25,9 @@ from .ordering import (
     _convexity_gap,
     _midpoint,
     _monotone_scan,
-    _worst,
+    _profile,
     direct_compare,
     dominated_or_equal,
-    map_samples,
     subadditivity_test,
 )
 
@@ -78,13 +78,6 @@ def _probe_slope(ratio, grow_from: float | None = None,
         converged = abs(value - ratios[-2]) <= _REL_TOL * max(1.0, abs(value))
     return SlopeEstimate(value=value, converged=converged, sequence=pairs,
                          note=_classify(value), sample_infimum=sample_infimum)
-
-
-def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The positive map samples u and h(u), shared by the growth checks."""
-    u = map_samples(m, grid)
-    u = u[u > 0]
-    return u, m(u)
 
 
 def _slope_A(m: ComposedMap, u: np.ndarray, hu: np.ndarray) -> SlopeEstimate:

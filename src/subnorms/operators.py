@@ -140,15 +140,26 @@ class AxiomReport:
                                       self.cancellative_sampled))
 
 
-def _argmax_witness(res: np.ndarray, *coords: np.ndarray) -> tuple:
-    idx = np.unravel_index(int(np.argmax(res)), res.shape)
-    return tuple(float(np.broadcast_to(c, res.shape)[idx]) for c in coords)
+def _worst(res, allow, *coords) -> tuple[bool, tuple]:
+    """The criterion kernel: every residual within its allowance, or a witness.
+
+    Returns whether res <= allow everywhere and the witness (coords..., res)
+    at the largest res - allow, first in row-major order on ties.  Each
+    coordinate is an array that broadcasts against res; it is read at the
+    witness index without materializing the broadcast (unit axes read 0).
+    """
+    gap = res - allow
+    idx = np.unravel_index(int(gap.argmax()), gap.shape)
+    at = [float(c[tuple(i if n > 1 else 0
+                        for i, n in zip(idx[gap.ndim - c.ndim:], c.shape))])
+          for c in (*coords, res)]
+    return bool((res <= allow).all()), tuple(at)
 
 
 def _axiom(res: np.ndarray, margin: float, *coords: np.ndarray) -> AxiomCheck:
     """Passed when max(res) <= margin; residual max(res, 0), witness at the argmax."""
-    worst = float(np.max(res))
-    return AxiomCheck(worst <= margin, max(worst, 0.0), _argmax_witness(res, *coords))
+    *at, worst = _worst(res, 0.0, *coords)[1]
+    return AxiomCheck(worst <= margin, max(worst, 0.0), tuple(at))
 
 
 def check_axioms(S: Operator, grid: IntervalGrid,
@@ -179,9 +190,9 @@ def check_axioms(S: Operator, grid: IntervalGrid,
     inc = np.diff(vals, axis=1)
     canc = AxiomCheck(True)
     if inc.size:
-        flat = bool(np.min(inc) < tol.inversion_tol)
-        canc = AxiomCheck(not flat, float(np.min(inc)),
-                          _argmax_witness(-inc, X, Y[:, :-1]) if flat else None)
+        *at, drop = _worst(-inc, 0.0, X, Y[:, :-1])[1]
+        flat = -drop < tol.inversion_tol
+        canc = AxiomCheck(not flat, -drop, tuple(at) if flat else None)
 
     return AxiomReport(comm, assoc, mono, bound, canc)
 

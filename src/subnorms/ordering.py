@@ -4,14 +4,15 @@ A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
 decade points the criteria sample near 0.  Every other test here is a criterion
 on the composed map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2
 exactly (superadditivity S2 <= S1); linearity characterizes equality; concavity
-(with h(u) <= u*h(d)/d when d = s2(1) > 0), generator ratio and ratio profile
-are sufficient certificates.  Three named criteria restate these in other
-coordinates and run the same test: the derivative ratio s1'/s2' is concavity
-of h, and submultiplicative-additivity and logarithmic equality (dominance by
-and equality with a strict t-norm t, through its product isomorphism
-w = -ln u) are subadditivity and linearity of h = s o t^{-1}.  The
-public :func:`compare` runs the equality and ratio certificates, then one
-residual matrix of h for both directions, and records which path decided.
+(with h(u) <= u*h(d)/d when d = s2(1) > 0) and ratio profile h(u)/u are
+sufficient certificates.  Four named criteria restate these in other
+coordinates and run the same test: the generator ratio s1/s2 is the profile at
+u = s2(x), the derivative ratio s1'/s2' is concavity of h, and
+submultiplicative-additivity and logarithmic equality (dominance by and
+equality with a strict t-norm t, through its product isomorphism w = -ln u)
+are subadditivity and linearity of h = s o t^{-1}.  The public :func:`compare`
+samples h once for the equality and ratio certificates and one residual matrix
+of h for both directions, and records which path decided.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .operators import (
     Fixture,
     Operator,
     TSubnorm,
+    _worst,
     make_family,
 )
 
@@ -76,22 +78,6 @@ def _concavity_gap(fc, fu, fv):  # (f(u) + f(v))/2 <= f(c)
 
 def _convexity_gap(fc, fu, fv):  # f(c) <= (f(u) + f(v))/2
     return fc - _midpoint(fu, fv)
-
-
-def _worst(res, allow, *coords) -> tuple[bool, tuple]:
-    """The criterion kernel: every residual within its allowance, or a witness.
-
-    Returns whether res <= allow everywhere and the witness (coords..., res)
-    at the largest res - allow, first in row-major order on ties.  Each
-    coordinate is an array that broadcasts against res; it is read at the
-    witness index without materializing the broadcast (unit axes read 0).
-    """
-    gap = res - allow
-    idx = np.unravel_index(int(gap.argmax()), gap.shape)
-    at = [float(c[tuple(i if n > 1 else 0
-                        for i, n in zip(idx[gap.ndim - c.ndim:], c.shape))])
-          for c in (*coords, res)]
-    return bool((res <= allow).all()), tuple(at)
 
 
 def _pair_residuals(u, fu, f, combine, residual, margin) -> tuple:
@@ -181,6 +167,13 @@ def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
         u = m.domain_start + np.concatenate(
             [[0.0], np.geomspace(1e-4, 1e6, 51)])
     return np.unique(u)
+
+
+def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The positive map samples u and h(u): the profile h(u)/u and growth checks."""
+    u = map_samples(m, grid)
+    u = u[u > 0]
+    return u, m(u)
 
 
 @dataclass(frozen=True)
@@ -273,6 +266,11 @@ def _report(name: str, holds, wc: tuple, failure: str = "",
                            notes="" if holds else failure, details=details)
 
 
+def _renamed(rep: CriterionReport, name: str, failure: str) -> CriterionReport:
+    """rep under ``name``, its FAILS note replaced by ``failure``."""
+    return replace(rep, criterion=name, notes=rep.notes if rep.holds else failure)
+
+
 def subadditivity_test(m: ComposedMap, grid: IntervalGrid,
                        tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """h(u+v) <= h(u) + h(v) over all sample pairs; exact iff S1 <= S2."""
@@ -342,29 +340,27 @@ def quasi_homogeneity_criterion(
     return _report("quasi_homogeneity_criterion", holds, wc)
 
 
-def ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
-                    tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """s1/s2 non-decreasing on (0,1) forces S1 <= S2 (sufficient only)."""
-    xs = _with_decades(grid, grid.interior)
-    holds, wc = _ratio_scan(xs, geval(s1, xs), geval(s2, xs), tol.verdict_margin)
-    return _report("ratio_criterion", holds, wc, "generator ratio decreases")
-
-
-def _ratio_scan(xs, v1, v2, margin) -> tuple[bool, tuple]:
-    """The ratio v1/v2 = s1/s2 at xs never decreases."""
-    return _monotone_scan(xs, v1 / v2, margin, falling=True)
-
-
 def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
                             tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """phi(u) = h(u)/u non-increasing forces S1 <= S2 (sufficient only)."""
-    u = map_samples(m, grid)
-    u = u[u > 0]
+    u, hu = _profile(m, grid)
     if u.size < 2:
         return CriterionReport("ratio_profile_criterion", NOT_APPLICABLE,
                                notes="not enough positive samples")
-    holds, wc = _monotone_scan(u, m(u) / u, tol.verdict_margin, falling=False)
+    holds, wc = _monotone_scan(u, hu / u, tol.verdict_margin, falling=False)
     return _report("ratio_profile_criterion", holds, wc, "profile increases")
+
+
+def ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
+                    tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+    """s1/s2 non-decreasing on (0,1) forces S1 <= S2 (sufficient only).
+
+    s1(x)/s2(x) is h(u)/u at u = s2(x) and s2 decreases, so this runs
+    :func:`ratio_profile_criterion` on h = s1 o s2^{-1}; the witness is the
+    profile's (u_k, u_{k+1}, step), in u = s2(x).
+    """
+    return _renamed(ratio_profile_criterion(compose(s1, s2, tol), grid, tol),
+                    "ratio_criterion", "generator ratio decreases")
 
 
 def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
@@ -383,11 +379,6 @@ def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
 # ---------------------------------------------------------------------------
 # dominance by / equality with a strict t-norm: with w = -ln u, g(u) =
 # s(t^{-1}(-ln u)) is h(w) for h = s o t^{-1}, and u*v maps to w + w'
-
-
-def _renamed(rep: CriterionReport, name: str, failure: str) -> CriterionReport:
-    """rep under ``name``, its FAILS note replaced by ``failure``."""
-    return replace(rep, criterion=name, notes=rep.notes if rep.holds else failure)
 
 
 def strict_dominance_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
@@ -575,8 +566,10 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     """Public order query: equality and ratio certificates, then the exact test.
 
     For generator-backed operands, h = g1 o g2^{-1} (normalized pair) is sampled
-    once, u = :func:`map_samples` and hu = h(u), for the equality fit, the ratio
-    scans (one evaluation of each generator) and R = h(u_i + u_j) - h(u_i) - h(u_j):
+    once: u = :func:`map_samples` evaluates g2 and hu = h(u) evaluates g1.  The
+    sample serves the equality fit, the ratio profile h(u)/u on u > 0 (the
+    generator ratio g1/g2 at u = g2(x): non-increasing gives S1 <= S2,
+    non-decreasing S2 <= S1) and R = h(u_i + u_j) - h(u_i) - h(u_j):
     S1 <= S2 iff R <= slack (h subadditive), S2 <= S1 iff -R <= slack (h^{-1}
     subadditive at h(u_i), h(u_j)).  Both compare the same two values, so the
     _slack(margin, h(u_i), h(u_j)) round-off allowance serves both.  R is NaN
@@ -604,10 +597,10 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     hu = m(u)
     if _linear_fit(m, u, hu, margin)[0]:
         return ComparisonVerdict(EQUAL, [], "equality_test", margin)
-    xs = _with_decades(grid, grid.interior)
-    v1, v2 = geval(g1, xs), geval(g2, xs)
-    for num, den, relation in ((v1, v2, DOMINATED), (v2, v1, DOMINATES)):
-        if _ratio_scan(xs, num, den, margin)[0]:
+    pos = u > 0
+    profile = u[pos], hu[pos] / u[pos]
+    for falling, relation in ((False, DOMINATED), (True, DOMINATES)):
+        if _monotone_scan(*profile, margin, falling)[0]:
             return ComparisonVerdict(relation, [], "ratio_criterion", margin)
     R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
     (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)

@@ -207,9 +207,11 @@ def check_psi_construction():
             "psi construction should be subadditive")
     rep = ratio_criterion(s1, s2, grid)
     _expect(rep.verdict == FAILS, "psi ratio should decrease somewhere")
-    lo = 2.0 / (math.sqrt(2.0) + 1.0)  # s2^{-1}(sqrt 2)
-    _expect(lo - 0.02 <= rep.worst_case[0] <= 1.0,
-            f"decrease found at x = {rep.worst_case[0]}, expected in [{lo:.4f}, 1]")
+    # the witness is in u = s2(x), and psi(u)/u = 4 - u - 2/u increases
+    # exactly on [1, sqrt 2]
+    u = rep.worst_case[0]
+    _expect(1.0 <= u < math.sqrt(2.0),
+            f"decrease found at u = {u}, expected in [1, {math.sqrt(2.0):.4f})")
 
 
 def check_remark_maps():

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,19 @@ class TestSufficientCertificates:
         assert (rep.verdict, rep.worst_case, rep.notes) \
             == (concave.verdict, concave.worst_case, concave.notes)
 
+    @pytest.mark.parametrize("named, base", [("ratio", "ratio_profile"),
+                                             ("derivative_ratio", "concavity")])
+    def test_restated_criterion_reruns_its_base(self, named, base):
+        # s1/s2 at x is h(u)/u at u = s2(x), and s1'/s2' at x is h'(u): same
+        # verdict and the same witness, in u
+        members = catalog()
+        for S1 in members:
+            for S2 in members:
+                if S1 is not S2:
+                    got, want = (run_criterion(n, S1, S2, GRID) for n in (named, base))
+                    assert (got.verdict, got.worst_case) \
+                        == (want.verdict, want.worst_case), (S1.label, S2.label)
+
 
 class TestConverseFailures:
     def test_psi_construction(self):
@@ -337,6 +351,24 @@ class TestScansAndCompare:
         v = compare(S1, S2, GRID, criterion="subadditivity")
         assert v.relation == DOMINATED
         assert v.criterion == "subadditivity:holds"
+
+    def test_compare_samples_the_pair_once(self):
+        # a ratio-decided pair: s2 gives the samples u, s1 gives h(u) and the
+        # equality fit's h(u0); the ratio reads the same sample
+        calls = {}
+
+        def counting(spec):
+            g = make_family(spec).generator
+
+            def fn(x):
+                calls[g.label] = calls.get(g.label, 0) + 1
+                return g.fn(x)
+            return TSubnorm(replace(g, fn=fn))
+
+        S1 = counting(FamilySpec("rational", {"a": 0.5}))
+        S2 = counting(FamilySpec("rational", {"a": 0.7}))
+        assert compare(S1, S2, GRID).criterion == "ratio_criterion"
+        assert calls == {S1.label: 2, S2.label: 1}
 
     @pytest.mark.parametrize("name", CRITERION_NAMES)
     def test_registry_dispatches_every_name(self, name):
