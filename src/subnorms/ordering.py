@@ -1,7 +1,9 @@
 """Deciding and certifying the pointwise order of t-subnorms.
 
 A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
-decade points the criteria sample near 0.  Every other test here is a criterion
+decade points the criteria sample near 0; d = S1 - S2 is symmetric, so it
+scans one triangle of the grid in blocks of about ``SOLVER_CHUNK`` cells and
+holds O(n) memory for n points per axis.  Every other test here is a criterion
 on the composed map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2
 exactly (superadditivity S2 <= S1); linearity characterizes equality; concavity
 (with h(u) <= u*h(d)/d when d = s2(1) > 0) and ratio profile h(u)/u are
@@ -27,6 +29,7 @@ from .generators import (
     Generator,
     IntervalGrid,
     ParameterError,
+    SOLVER_CHUNK,
     ToleranceProfile,
     geval,
     ginvert,
@@ -223,30 +226,57 @@ def serialize_report(r: CriterionReport) -> str:
 # the oracle
 
 
+def _improves(new: float, old: float, sign: float) -> bool:
+    """new replaces old as the running first max (sign 1) or min (sign -1):
+    strictly beyond it, or the first NaN, as np.max and np.argmax order them."""
+    return not np.isnan(old) and (np.isnan(new) or sign * new > sign * old)
+
+
 def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
                    tol: ToleranceProfile = DEFAULT_TOL) -> ComparisonVerdict:
-    """Pointwise scan on 0, the grid and its decade points; the ground truth."""
-    pts = np.concatenate([[0.0], _with_decades(grid, grid.points)])
-    X, Y = pts[:, None], pts[None, :]
-    d = S1.surface(X, Y, tol)
-    d -= S2.surface(X, Y, tol)
-    m = tol.verdict_margin
-    hi, lo = float(np.max(d)), float(np.min(d))
+    """Pointwise scan on 0, the grid and its decade points; the ground truth.
 
-    def witness(idx):
-        i, j = np.unravel_index(idx, d.shape)
-        x, y = float(pts[i]), float(pts[j])
+    d = S1 - S2 is scanned on the cells j >= i of the square grid, in blocks of
+    rows of about ``SOLVER_CHUNK`` cells, each reduced to its first max and min
+    as it goes, so memory is O(n) for n points per axis.  A skipped cell
+    (i, j), j < i, mirrors a scanned (j, i) earlier in row-major order, so the
+    witnesses are the cells a full scan's argmax, argmin and argmax |d| find.
+    This needs d symmetric bit for bit: S(x, y) and S(y, x) must round the
+    same, as s(x) + s(y) and commutative fixture expressions do.
+    """
+    pts = np.concatenate([[0.0], _with_decades(grid, grid.points)])
+    n = pts.size
+    ext = {}  # sign -> running first extreme (d, i, j): +1 max, -1 min
+    r = 0
+    while r < n:
+        rows = max(1, SOLVER_CHUNK // (n - r))
+        X, Y = pts[r:r + rows, None], pts[None, r:]
+        d = S1.surface(X, Y, tol)
+        d -= S2.surface(X, Y, tol)
+        for sign, pick in ((1.0, np.argmax), (-1.0, np.argmin)):
+            i, j = divmod(int(pick(d)), n - r)
+            cell = (float(d[i, j]), r + i, r + j)
+            if sign not in ext or _improves(cell[0], ext[sign][0], sign):
+                ext[sign] = cell
+        r += rows
+    top, low = ext[1.0], ext[-1.0]
+    m = tol.verdict_margin
+    hi, lo = top[0], low[0]
+
+    def witness(cell):
+        x, y = float(pts[cell[1]]), float(pts[cell[2]])
         return (x, y, float(S1.surface(x, y, tol)), float(S2.surface(x, y, tol)))
 
     if hi <= m and lo >= -m:
-        relation, wits = EQUAL, [witness(int(np.argmax(np.abs(d))))]
+        # argmax |d| is the larger extreme, the earlier cell on a tie
+        relation = EQUAL
+        wits = [witness(min(top, low, key=lambda c: (-abs(c[0]), c[1:])))]
     elif hi <= m:
-        relation, wits = DOMINATED, [witness(int(np.argmin(d)))]
+        relation, wits = DOMINATED, [witness(low)]
     elif lo >= -m:
-        relation, wits = DOMINATES, [witness(int(np.argmax(d)))]
+        relation, wits = DOMINATES, [witness(top)]
     else:
-        relation = INCOMPARABLE
-        wits = [witness(int(np.argmax(d))), witness(int(np.argmin(d)))]
+        relation, wits = INCOMPARABLE, [witness(top), witness(low)]
     return ComparisonVerdict(relation=relation, witnesses=wits,
                              criterion="direct_compare", margin=m)
 
@@ -289,9 +319,12 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
 
 def _linear_fit(m: Callable, u, hu, margin) -> tuple[bool, tuple, float]:
     """(h = c*u with c > 0 on the samples, witness, c) for c = h(u0)/u0 at the
-    median positive sample u0 (:func:`map_samples` always has one)."""
-    u0 = float(np.median(u[u > 0]))
-    c = float(m(u0)) / u0
+    median positive sample u0 (:func:`map_samples` always has one); h(u0) is
+    read from hu when u0 is itself a sample (an odd count)."""
+    pos = u > 0
+    up = u[pos]
+    u0 = float(np.median(up))
+    c = float(hu[pos][up.size // 2] if up.size % 2 else m(u0)) / u0
     linear, wc = _worst(np.abs(hu - c * u), margin * np.maximum(1.0, np.abs(u)), u)
     return c > 0 and linear, wc, c
 

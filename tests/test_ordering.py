@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,10 +19,12 @@ from subnorms import (
     affine_shift,
     catalog,
     compare,
+    complete_to_tnorm,
     compose,
     concavity_criterion,
     derivative_ratio_criterion,
     direct_compare,
+    dual_superconorm,
     equality_test,
     family_monotonicity_scan,
     from_generator,
@@ -40,6 +43,7 @@ from subnorms import (
 )
 from subnorms.ordering import (
     CRITERION_NAMES,
+    ComparisonVerdict,
     CriterionReport,
     DOMINATED,
     DOMINATES,
@@ -51,11 +55,14 @@ from subnorms.ordering import (
     UNKNOWN,
     dominated_or_equal,
     from_callable,
+    map_samples,
     run_criterion,
     serialize_report,
     serialize_verdict,
+    _with_decades,
 )
 from subnorms.cli import parse_operator_spec
+from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK
 from subnorms.operators import Fixture, TSubnorm
 from subnorms import verify
 from subnorms.verify import remark_fixture_maps
@@ -113,6 +120,108 @@ class TestOracle:
         flip = {DOMINATED: DOMINATES, DOMINATES: DOMINATED,
                 EQUAL: EQUAL, INCOMPARABLE: INCOMPARABLE}
         assert rev == flip[fwd]
+
+
+def oracle_kinds():
+    """Every kind of operator the oracle sees: the extended catalog, the
+    numeric twins, the nilpotent fixtures, completions and duals."""
+    ref = json.loads(REFERENCE.read_text())
+    members = [make_family(parse_operator_spec(text)) for text in ref["members"]]
+    twins = [from_generator(numeric_inverse(g.fn, g.boundary_at_one, g.label,
+                                            g.family, g.params))
+             for g in (S.generator for S in catalog())]
+    fixtures = [lukasiewicz_fixture()] + [yager_fixture(lam) for lam in (0.5, 2.0, 3.0)]
+    return (members + twins + fixtures + [complete_to_tnorm(S) for S in catalog()]
+            + [dual_superconorm(S) for S in catalog()])
+
+
+def full_matrix_oracle(S1, S2, pts, surface):
+    """The oracle written as a scan of every cell: d = surface(S1) - surface(S2)
+    on the whole square grid over pts, its max, min and first argmax, argmin
+    and argmax |d|."""
+    d = surface(S1) - surface(S2)
+    m = DEFAULT_TOL.verdict_margin
+    hi, lo = float(np.max(d)), float(np.min(d))
+
+    def witness(idx):
+        i, j = np.unravel_index(idx, d.shape)
+        x, y = float(pts[i]), float(pts[j])
+        return (x, y, float(S1.surface(x, y)), float(S2.surface(x, y)))
+
+    if hi <= m and lo >= -m:
+        relation, wits = EQUAL, [witness(np.argmax(np.abs(d)))]
+    elif hi <= m:
+        relation, wits = DOMINATED, [witness(np.argmin(d))]
+    elif lo >= -m:
+        relation, wits = DOMINATES, [witness(np.argmax(d))]
+    else:
+        relation = INCOMPARABLE
+        wits = [witness(np.argmax(d)), witness(np.argmin(d))]
+    return ComparisonVerdict(relation, wits, "direct_compare", m)
+
+
+ZERO = Fixture(fn=lambda x, y: np.zeros(np.broadcast(x, y).shape), label="0")
+
+
+def banded(near, far):
+    """A fixture that is ``near`` on 0.5 < x + y < 0.6, ``far`` on x + y > 1.5
+    and 0 elsewhere: the near band comes first in row-major order."""
+    def fn(x, y):
+        s = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
+        return np.where((s > 0.5) & (s < 0.6), near, np.where(s > 1.5, far, 0.0))
+    return Fixture(fn=fn, label=f"banded({near:g},{far:g})")
+
+
+class TestTriangleScan:
+    """The oracle scans one triangle of the symmetric grid in row blocks."""
+
+    @pytest.mark.parametrize("n", [101, 401])
+    def test_surfaces_are_symmetric(self, n):
+        # the precondition: every operator's grid surface equals its transpose
+        grid = IntervalGrid.uniform(n)
+        P = np.concatenate([[0.0], _with_decades(grid, grid.points)])
+        asym = [S.label for S in oracle_kinds()
+                if not np.array_equal(d := S.surface(P[:, None], P[None, :]), d.T)]
+        assert asym == []
+
+    @pytest.mark.parametrize("grid", [IntervalGrid.uniform(401),
+                                      IntervalGrid.random(301, np.random.default_rng(0))],
+                             ids=["uniform401", "random301"])
+    def test_matches_full_matrix_scan(self, grid):
+        pts = np.concatenate([[0.0], _with_decades(grid, grid.points)])
+        assert pts.size ** 2 > 2 * SOLVER_CHUNK  # several blocks
+        members, Y2 = catalog(), yager_fixture(2.0)
+        cache = {}
+
+        def surfaces(S):
+            if S.label not in cache:
+                cache[S.label] = S.surface(pts[:, None], pts[None, :])
+            return cache[S.label]
+
+        pairs = ([(S1, S2) for S1 in members for S2 in members]  # S vs S: EQUAL, |d| all 0
+                 + [p for S in members for p in ((S, Y2), (Y2, S))]
+                 # |d| tied at both extremes; NaN before and after a maximum
+                 + [(banded(a, b), ZERO) for a, b in ((1e-7, -1e-7), (-1e-7, 1e-7),
+                                                     (1.0, np.nan), (np.nan, 1.0))])
+        for S1, S2 in pairs:
+            assert serialize_verdict(direct_compare(S1, S2, grid)) == serialize_verdict(
+                full_matrix_oracle(S1, S2, pts, surfaces)), (S1.label, S2.label)
+
+    @pytest.mark.parametrize("S1, S2", [
+        (make_family(FamilySpec("rational", {"a": 0.5})),
+         make_family(FamilySpec("rational", {"a": 0.7}))),
+        (make_family(FamilySpec("product")), yager_fixture(2.0))],
+        ids=["rational", "product-yager"])
+    def test_memory_stays_linear(self, S1, S2):
+        # one 2007^2 float array is 32 MB; the blocks stay below 4 MB
+        grid = IntervalGrid.uniform(2001)
+        tracemalloc.start()
+        try:
+            direct_compare(S1, S2, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 class TestSubadditivity:
@@ -352,23 +461,38 @@ class TestScansAndCompare:
         assert v.relation == DOMINATED
         assert v.criterion == "subadditivity:holds"
 
+    @staticmethod
+    def counting(spec, calls):
+        """spec's operator with a generator fn that counts its calls by label."""
+        g = make_family(spec).generator
+
+        def fn(x):
+            calls[g.label] = calls.get(g.label, 0) + 1
+            return g.fn(x)
+        return TSubnorm(replace(g, fn=fn))
+
     def test_compare_samples_the_pair_once(self):
         # a ratio-decided pair: s2 gives the samples u, s1 gives h(u) and the
         # equality fit's h(u0); the ratio reads the same sample
         calls = {}
-
-        def counting(spec):
-            g = make_family(spec).generator
-
-            def fn(x):
-                calls[g.label] = calls.get(g.label, 0) + 1
-                return g.fn(x)
-            return TSubnorm(replace(g, fn=fn))
-
-        S1 = counting(FamilySpec("rational", {"a": 0.5}))
-        S2 = counting(FamilySpec("rational", {"a": 0.7}))
+        S1 = self.counting(FamilySpec("rational", {"a": 0.5}), calls)
+        S2 = self.counting(FamilySpec("rational", {"a": 0.7}), calls)
         assert compare(S1, S2, GRID).criterion == "ratio_criterion"
         assert calls == {S1.label: 2, S2.label: 1}
+
+    def test_odd_sample_count_reads_the_median_from_the_sample(self):
+        # a strict s2 gives 103 positive samples, so u0 is a sample and the
+        # equality fit reads h(u0) from h(u) instead of evaluating s1 again
+        calls = {}
+        S1 = self.counting(FamilySpec("product"), calls)
+        S2 = self.counting(FamilySpec("hamacher0"), calls)
+        assert compare(S1, S2, GRID).criterion == "ratio_criterion"
+        assert calls == {S1.label: 1, S2.label: 1}
+        # the slope is the one a call at u0 gives
+        m = compose(S1.generator, S2.generator)
+        u = map_samples(m, GRID)
+        u0 = float(np.median(u[u > 0]))
+        assert equality_test(m, GRID).details["c"] == float(m(u0)) / u0
 
     @pytest.mark.parametrize("name", CRITERION_NAMES)
     def test_registry_dispatches_every_name(self, name):
