@@ -89,17 +89,16 @@ def _slope_A(m: ComposedMap, u: np.ndarray, hu: np.ndarray) -> SlopeEstimate:
     return _probe_slope(lambda x: float(m(x)) / x, max(1.0, m.domain_start), inf_phi)
 
 
-def asymptotic_slope_A(m: ComposedMap, grid: IntervalGrid | None = None,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> SlopeEstimate:
+def asymptotic_slope_A(m: ComposedMap, grid: IntervalGrid) -> SlopeEstimate:
     """A = lim_{x->inf} h(x)/x, estimated as lim_{t->0+} s1(t)/s2(t).
 
     Fixture maps without generators probe h(x)/x directly at growing x.
     Divergence is reported as inf with converged=False, not an error.
     """
-    return _slope_A(m, *_profile(m, grid or IntervalGrid.uniform(101)))
+    return _slope_A(m, *_profile(m, grid))
 
 
-def small_slope_B(m: ComposedMap, grid: IntervalGrid | None = None,
+def small_slope_B(m: ComposedMap, grid: IntervalGrid,
                   tol: ToleranceProfile = DEFAULT_TOL) -> SlopeEstimate:
     """B bounding h(x) <= B*x.
 
@@ -107,7 +106,6 @@ def small_slope_B(m: ComposedMap, grid: IntervalGrid | None = None,
     Normalized proper pair: the supremum of h(x)/x over samples, which the
     subadditivity bound caps at 2.
     """
-    grid = grid or IntervalGrid.uniform(101)
     if m.domain_start == 0.0:
         return _probe_slope(lambda x: float(m(x)) / x)
     if m.both_normalized:

@@ -12,7 +12,7 @@ every finite value, which is precisely the arithmetic the codomain needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -41,13 +41,11 @@ class GeneratorValidationError(ValueError):
 class ToleranceProfile:
     """Numeric tolerances shared across the library."""
 
-    abs_eval_tol: float = 1e-9
     inversion_tol: float = 1e-12
     verdict_margin: float = 1e-6
-    derivative_step: float = 1e-6
 
     def __post_init__(self):
-        for name in ("abs_eval_tol", "inversion_tol", "verdict_margin", "derivative_step"):
+        for name in ("inversion_tol", "verdict_margin"):
             if not getattr(self, name) > 0:
                 raise ParameterError(f"{name} must be strictly positive")
         if not self.inversion_tol < self.verdict_margin:
@@ -55,42 +53,52 @@ class ToleranceProfile:
 
 
 DEFAULT_TOL = ToleranceProfile()
+EPSILON_FLOOR = 1e-6  # smallest sample abscissa: the first decade point
+_ABS_EVAL_TOL = 1e-9  # relative agreement of s(1) with the declared boundary
 
 
 @dataclass(frozen=True)
 class IntervalGrid:
-    """Ordered finite sample of (0, 1], always containing 1."""
+    """Ordered finite sample of (0, 1], always containing 1.
+
+    ``axis`` is the read-only sample axis of the criteria and the oracle: the
+    points plus the six decade points from ``EPSILON_FLOOR`` to 0.1, sorted
+    and unique.
+    """
 
     points: np.ndarray
-    epsilon_floor: float = 1e-6
+    axis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size == 0:
             raise ParameterError("grid needs at least one point")
-        if np.any(np.diff(pts) <= 0):
+        if not np.all(np.diff(pts) > 0):  # NaN fails
             raise ParameterError("grid points must be strictly increasing")
-        if pts[0] <= 0 or pts[-1] > 1:
+        if not (pts[0] > 0 and pts[-1] <= 1):
             raise ParameterError("grid points must lie in (0, 1]")
         if pts[-1] != 1.0:
             raise ParameterError("grid must include 1")
+        axis = np.unique(np.concatenate([np.geomspace(EPSILON_FLOOR, 0.1, 6), pts]))
+        axis.setflags(write=False)
+        object.__setattr__(self, "axis", axis)
 
     @classmethod
-    def uniform(cls, n: int, epsilon_floor: float = 1e-6) -> "IntervalGrid":
+    def uniform(cls, n: int) -> "IntervalGrid":
         """n-point uniform grid on [0,1] with the zero endpoint dropped."""
         if n < 2:
             raise ParameterError("uniform grid needs n >= 2")
-        return cls(np.linspace(0.0, 1.0, n)[1:], epsilon_floor)
+        return cls(np.linspace(0.0, 1.0, n)[1:])
 
     @classmethod
-    def random(cls, n: int, rng: np.random.Generator | None = None,
-               epsilon_floor: float = 1e-6) -> "IntervalGrid":
+    def random(cls, n: int, rng: np.random.Generator) -> "IntervalGrid":
         """Fresh random grid in (0,1] including 1; for robustness re-checks."""
-        rng = rng or np.random.default_rng()
-        pts = np.sort(rng.uniform(epsilon_floor, 1.0, size=n - 1))
+        if n < 1:
+            raise ParameterError("random grid needs n >= 1")
+        pts = np.sort(rng.uniform(EPSILON_FLOOR, 1.0, size=n - 1))
         pts = np.unique(np.append(pts, 1.0))
-        return cls(pts, epsilon_floor)
+        return cls(pts)
 
     @property
     def interior(self) -> np.ndarray:
@@ -330,38 +338,24 @@ def affine_shift(g: Generator, c: float, b: float) -> Generator:
     )
 
 
-def derivative(g: Generator, x, tol: ToleranceProfile = DEFAULT_TOL):
-    """Finite-difference s'(x) on (0,1), elementwise; negative for any valid
-    generator.  Central, or one-sided where the step would leave (0, 1)."""
-    arr, scalar = _as_1d(x)
-    if not (arr.min(initial=0.5) > 0 and arr.max(initial=0.5) < 1):  # NaN fails
-        raise DomainError(f"derivative needs x in (0, 1), got {x!r}")
-    h = tol.derivative_step
-    fwd = arr - h <= 0
-    bwd = ~fwd & (arr + h >= 1)
-    lo = np.where(fwd, arr, arr - h)
-    hi = np.where(bwd, arr, arr + h)
-    with np.errstate(over="ignore", invalid="ignore"):  # near 0: inf - inf, huge quotients
-        out = (geval(g, hi) - geval(g, lo)) / np.where(fwd | bwd, h, 2 * h)
-    return float(out[0]) if scalar else out
+_VALIDATION_GRID = IntervalGrid.uniform(41)
 
 
-def validate_generator(g: Generator, grid: IntervalGrid | None = None,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> None:
+def validate_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> None:
     """Sampled invariant check; raises GeneratorValidationError on failure.
 
     Checks s(0) = inf, s(1) = boundary_at_one, finite values and strict
-    decrease across the grid (an overflow to inf inside (0, 1] fails),
+    decrease across a 41-point grid (an overflow to inf inside (0, 1] fails),
     continuity near grid points, and inversion consistency.
     """
-    grid = grid or IntervalGrid.uniform(41)
+    pts = _VALIDATION_GRID.points
     if geval(g, 0.0) != INF:
         raise GeneratorValidationError(f"{g.label}: s(0) must be inf")
     v1 = geval(g, 1.0)
-    if abs(v1 - g.boundary_at_one) > tol.abs_eval_tol * max(1.0, abs(v1)):
+    if abs(v1 - g.boundary_at_one) > _ABS_EVAL_TOL * max(1.0, abs(v1)):
         raise GeneratorValidationError(
             f"{g.label}: s(1) = {v1} disagrees with declared {g.boundary_at_one}")
-    xs = np.append(grid.epsilon_floor, grid.points)
+    xs = np.append(EPSILON_FLOOR, pts)
     vals = geval(g, xs)
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
@@ -372,9 +366,9 @@ def validate_generator(g: Generator, grid: IntervalGrid | None = None,
         raise GeneratorValidationError(
             f"{g.label}: not strictly decreasing near x = {xs[i]:.6g}")
     # sampled continuity: a 1e-6 step must move the value by a tiny fraction
-    interior = grid.points[(grid.points > 2 * grid.epsilon_floor) & (grid.points < 1)]
+    interior = pts[(pts > 2 * EPSILON_FLOOR) & (pts < 1)]
     base = geval(g, interior)
-    jump = np.abs(geval(g, interior + grid.epsilon_floor) - base)
+    jump = np.abs(geval(g, interior + EPSILON_FLOOR) - base)
     if np.any(jump > 1e-2 * np.maximum(1.0, np.abs(base))):
         worst = interior[int(np.argmax(jump))]
         raise GeneratorValidationError(

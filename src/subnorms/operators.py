@@ -95,10 +95,9 @@ class Fixture:
 Operator = TSubnorm | Fixture
 
 
-def from_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL,
-                   grid: IntervalGrid | None = None) -> TSubnorm:
+def from_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> TSubnorm:
     """Build the induced operator after validating the generator invariants."""
-    validate_generator(g, grid, tol)
+    validate_generator(g, tol)
     return TSubnorm(g)
 
 

@@ -111,11 +111,6 @@ def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
     return _worst(steps, rel * np.maximum(1.0, np.abs(r[:-1])), xs[:-1], xs[1:])
 
 
-def _with_decades(grid: IntervalGrid, xs: np.ndarray) -> np.ndarray:
-    """xs plus six decade points from epsilon_floor to 0.1, sorted, unique."""
-    return np.unique(np.concatenate([np.geomspace(grid.epsilon_floor, 0.1, 6), xs]))
-
-
 @dataclass(frozen=True)
 class ComposedMap:
     """h = s1 o s2^{-1} on [s2(1), inf]; strictly increasing, h(s2(1)) = s1(1).
@@ -158,13 +153,13 @@ def from_callable(h: Callable, domain_start: float, label: str = "h") -> Compose
 def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
     """Abscissae for criterion scans.
 
-    Generator-backed maps sample u = s2(x) over the grid plus decade points
-    down to epsilon_floor, reaching u ~ s2(1e-6); the exact infinity branch is
-    handled separately (h(inf) = inf makes subadditivity trivial there).
+    Generator-backed maps sample u = s2(x) over ``grid.axis``, the grid plus
+    decade points down to 1e-6, reaching u ~ s2(1e-6); the exact infinity
+    branch is handled separately (h(inf) = inf makes subadditivity trivial).
     Fixture maps sample geometrically from the domain start.
     """
     if m.rhs is not None:
-        u = geval(m.rhs, _with_decades(grid, grid.points))
+        u = geval(m.rhs, grid.axis)
         u = u[np.isfinite(u)]
     else:
         u = m.domain_start + np.concatenate(
@@ -244,7 +239,7 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     This needs d symmetric bit for bit: S(x, y) and S(y, x) must round the
     same, as s(x) + s(y) and commutative fixture expressions do.
     """
-    pts = np.concatenate([[0.0], _with_decades(grid, grid.points)])
+    pts = np.concatenate([[0.0], grid.axis])
     n = pts.size
     ext = {}  # sign -> running first extreme (d, i, j): +1 max, -1 min
     r = 0
@@ -355,14 +350,13 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
     return _report("concavity_criterion", concave and side_ok, wc, notes, **details)
 
 
-def quasi_homogeneity_criterion(
-        m: ComposedMap, grid: IntervalGrid,
-        t_samples=(1.0, 1.5, 2.0, 3.0, 5.0, 10.0),
-        tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+_T_SAMPLES = np.array([1.0, 1.5, 2.0, 3.0, 5.0, 10.0])[:, None]  # dilations t >= 1
+
+
+def quasi_homogeneity_criterion(m: ComposedMap, grid: IntervalGrid,
+                                tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """Under convexity of h: h(t*x) <= t*h(x) for t >= 1 iff S1 <= S2."""
-    t = np.asarray(t_samples, dtype=float)[:, None]
-    if t.size == 0 or np.any(t < 1):
-        raise ParameterError("t samples must be non-empty and >= 1")
+    t = _T_SAMPLES
     u = map_samples(m, grid)
     hu = m(u)
     convex, _ = _pair_scan(u, hu, m, _midpoint, _convexity_gap, tol.verdict_margin)

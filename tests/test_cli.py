@@ -39,11 +39,19 @@ class TestSpecGrammar:
             parse_operator_spec(bad)
 
     def test_tol_overrides(self):
-        tol = parse_tol("verdict_margin=1e-4,derivative_step=1e-5")
+        tol = parse_tol("verdict_margin=1e-4,inversion_tol=1e-10")
         assert tol.verdict_margin == 1e-4
-        assert tol.derivative_step == 1e-5
-        assert tol.inversion_tol == DEFAULT_TOL.inversion_tol
+        assert tol.inversion_tol == 1e-10
+        assert parse_tol("verdict_margin=1e-4").inversion_tol == DEFAULT_TOL.inversion_tol
         assert parse_tol(None) is DEFAULT_TOL
+
+    @pytest.mark.parametrize("text", ["derivative_step=1e-6", "abs_eval_tol=1e-9"])
+    def test_removed_tol_fields_are_rejected(self, text, capsys):
+        from subnorms.cli import SpecSyntaxError
+        with pytest.raises(SpecSyntaxError, match="fields: inversion_tol, verdict_margin"):
+            parse_tol(text)
+        assert main(["--tol", text, "compare", "product", "hamacher0"]) == EXIT_PARSE
+        assert "fields: inversion_tol, verdict_margin" in capsys.readouterr().err
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 """Generator evaluation, inversion, normalization and validation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from subnorms import (
     ToleranceProfile,
     affine_shift,
     closed_form,
-    derivative,
     evaluate,
     from_generator,
     geval,
@@ -106,10 +106,9 @@ class TestEvaluation:
         (geval, "outside"),
         (ginvert, "cannot invert NaN"),
         (pseudo_invert, "cannot pseudo-invert NaN"),
-        (derivative, "derivative needs"),
         (lambda g, v: evaluate(from_generator(g), v, 0.5), "NaN argument"),
         (lambda g, v: evaluate(from_generator(g), 0.5, v), "NaN argument"),
-    ], ids=["geval", "ginvert", "pseudo_invert", "derivative", "evaluate_x", "evaluate_y"])
+    ], ids=["geval", "ginvert", "pseudo_invert", "evaluate_x", "evaluate_y"])
     @pytest.mark.parametrize("bad", NAN_INPUTS, ids=["scalar", "array"])
     @pytest.mark.parametrize("g", [rational_generator(0.5), numeric_twin_of_rational()],
                              ids=["closed", "numeric"])
@@ -118,8 +117,8 @@ class TestEvaluation:
             call(g, bad)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
-    @pytest.mark.parametrize("call", [geval, ginvert, pseudo_invert, derivative],
-                             ids=["geval", "ginvert", "pseudo_invert", "derivative"])
+    @pytest.mark.parametrize("call", [geval, ginvert, pseudo_invert],
+                             ids=["geval", "ginvert", "pseudo_invert"])
     @pytest.mark.parametrize("g", [rational_generator(0.5), numeric_twin_of_rational()],
                              ids=["closed", "numeric"])
     def test_empty_arrays_keep_their_shape(self, shape, call, g):
@@ -283,40 +282,6 @@ class TestNormalization:
             affine_shift(product_generator(), 0.0, 1.0)
 
 
-class TestDerivative:
-    def test_matches_closed_form(self):
-        g = product_generator()  # s'(x) = -1/x
-        for x in (0.2, 0.5, 0.9):
-            assert derivative(g, x) == pytest.approx(-1.0 / x, rel=1e-5)
-
-    def test_hamacher_derivative(self):
-        g = hamacher0_generator()  # s'(x) = -1/x^2
-        assert derivative(g, 0.5) == pytest.approx(-4.0, rel=1e-5)
-
-    def test_requires_interior_point(self):
-        g = product_generator()
-        for bad in (0.0, 1.0, -0.5, math.nan, np.array([0.5, 1.0]), np.array([0.0, 0.5])):
-            with pytest.raises(DomainError):
-                derivative(g, bad)
-
-    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
-    def test_array_matches_pointwise_differences(self, g):
-        # central differences inside, one-sided within a step of 0 and of 1
-        h = DEFAULT_TOL.derivative_step
-
-        def pointwise(x):
-            if x - h <= 0:
-                return (geval(g, x + h) - geval(g, x)) / h
-            if x + h >= 1:
-                return (geval(g, x) - geval(g, x - h)) / h
-            return (geval(g, x + h) - geval(g, x - h)) / (2 * h)
-
-        xs = np.concatenate([[1e-7, 5e-7, h, 1 - h, 1 - 5e-7, 1 - 1e-7],
-                             np.linspace(0.0, 1.0, 101)[1:-1]])
-        np.testing.assert_array_equal(derivative(g, xs), [pointwise(float(x)) for x in xs])
-        assert derivative(g, float(xs[0])) == pointwise(float(xs[0]))
-
-
 class TestValidation:
     def test_catalog_member_passes(self):
         validate_generator(rational_generator(0.5))
@@ -379,7 +344,36 @@ class TestGridAndTolerances:
         with pytest.raises(ParameterError):
             IntervalGrid(np.array([0.2, 0.8]))  # missing 1
 
+    @pytest.mark.parametrize("pts, message", [
+        ([0.5, math.nan, 1.0], "strictly increasing"),
+        ([math.nan, 0.5, 1.0], "strictly increasing"),
+        ([math.nan], "lie in"),
+    ], ids=["middle", "first", "only"])
+    def test_rejects_nan_points(self, pts, message):
+        with pytest.raises(ParameterError, match=message):
+            IntervalGrid(np.array(pts))
+
+    def test_random_grid_sizes(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="n >= 1"):
+            IntervalGrid.random(0, rng)
+        np.testing.assert_array_equal(IntervalGrid.random(1, rng).points, [1.0])
+
+    @pytest.mark.parametrize("grid", [
+        IntervalGrid.uniform(2), IntervalGrid.uniform(101),
+        IntervalGrid.random(301, np.random.default_rng(0))],
+        ids=["uniform2", "uniform101", "random301"])
+    def test_axis_is_points_plus_decades(self, grid):
+        expected = np.unique(np.concatenate([np.geomspace(1e-6, 0.1, 6), grid.points]))
+        assert grid.axis.tobytes() == expected.tobytes()
+        assert not grid.axis.flags.writeable
+
+    def test_only_points_is_an_init_field(self):
+        assert [f.name for f in dataclasses.fields(IntervalGrid) if f.init] == ["points"]
+
     def test_tolerance_profile_ordering(self):
         with pytest.raises(ParameterError):
             ToleranceProfile(inversion_tol=1e-3, verdict_margin=1e-6)
         assert DEFAULT_TOL.verdict_margin == 1e-6
+        assert [f.name for f in dataclasses.fields(ToleranceProfile)] == [
+            "inversion_tol", "verdict_margin"]
