@@ -62,15 +62,12 @@ def _classify(value: float) -> str:
     return SAME_ORDER
 
 
-def _probe_slope(ratio, grow_from: float | None = None,
-                 sample_infimum: float | None = None) -> SlopeEstimate:
-    """The limit of ratio(x) along x = 10^-k, or grow_from * 10^k, k = 1..12.
+def _probe_slope(ratio, sample_infimum: float | None = None) -> SlopeEstimate:
+    """The limit of ratio(x) along x = 10^-k, k = 1..12.
 
     Any overflowed probe reports inf, not converged.
     """
-    xs = ([10.0 ** -k for k in range(1, 13)] if grow_from is None
-          else [grow_from * 10.0 ** k for k in range(1, 13)])
-    pairs = [(x, ratio(x)) for x in xs]
+    pairs = [(x, ratio(x)) for x in (10.0 ** -k for k in range(1, 13))]
     ratios = [r for _, r in pairs if math.isfinite(r)]
     value, converged = INF, False
     if len(ratios) == len(pairs):
@@ -83,16 +80,13 @@ def _probe_slope(ratio, grow_from: float | None = None,
 def _slope_A(m: ComposedMap, u: np.ndarray, hu: np.ndarray) -> SlopeEstimate:
     """A from its probes, with the infimum of h(u)/u over the profile (u, hu)."""
     inf_phi = float(np.min(hu / u)) if u.size else None
-    if m.lhs is not None and m.rhs is not None:
-        return _probe_slope(lambda t: float(geval(m.lhs, t)) / float(geval(m.rhs, t)),
-                            sample_infimum=inf_phi)
-    return _probe_slope(lambda x: float(m(x)) / x, max(1.0, m.domain_start), inf_phi)
+    return _probe_slope(lambda t: float(geval(m.lhs, t)) / float(geval(m.rhs, t)),
+                        inf_phi)
 
 
 def asymptotic_slope_A(m: ComposedMap, grid: IntervalGrid) -> SlopeEstimate:
     """A = lim_{x->inf} h(x)/x, estimated as lim_{t->0+} s1(t)/s2(t).
 
-    Fixture maps without generators probe h(x)/x directly at growing x.
     Divergence is reported as inf with converged=False, not an error.
     """
     return _slope_A(m, *_profile(m, grid))

@@ -46,8 +46,8 @@ class ToleranceProfile:
 
     def __post_init__(self):
         for name in ("inversion_tol", "verdict_margin"):
-            if not getattr(self, name) > 0:
-                raise ParameterError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < INF:  # NaN fails
+                raise ParameterError(f"{name} must be finite and strictly positive")
         if not self.inversion_tol < self.verdict_margin:
             raise ParameterError("inversion_tol must be smaller than verdict_margin")
 
@@ -349,7 +349,9 @@ def validate_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> Non
     continuity near grid points, and inversion consistency.
     """
     pts = _VALIDATION_GRID.points
-    if geval(g, 0.0) != INF:
+    with np.errstate(all="ignore"):  # geval pins s(0) = inf, so read fn itself
+        at0 = np.asarray(g.fn(np.zeros(1)), dtype=float)
+    if not np.all((at0 == INF) | np.isnan(at0)):  # NaN reads inf, as in geval
         raise GeneratorValidationError(f"{g.label}: s(0) must be inf")
     v1 = geval(g, 1.0)
     if abs(v1 - g.boundary_at_one) > _ABS_EVAL_TOL * max(1.0, abs(v1)):

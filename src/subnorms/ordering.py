@@ -20,7 +20,6 @@ of h for both directions, and records which path decided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -113,58 +112,42 @@ def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
 
 @dataclass(frozen=True)
 class ComposedMap:
-    """h = s1 o s2^{-1} on [s2(1), inf]; strictly increasing, h(s2(1)) = s1(1).
+    """h = s1 o s2^{-1} on [s2(1), inf]; strictly increasing, h(s2(1)) = s1(1)."""
 
-    Fixture maps (an explicit callable h with its domain start) share the
-    same interface so the converse-failure examples can be exercised.
-    """
-
-    h: Callable[[np.ndarray], np.ndarray]
-    domain_start: float
-    lhs: Generator | None = None
-    rhs: Generator | None = None
-    label: str = "h"
+    lhs: Generator
+    rhs: Generator
+    tol: ToleranceProfile = DEFAULT_TOL
 
     def __call__(self, u):
-        return self.h(np.asarray(u, dtype=float))
+        return geval(self.lhs, ginvert(self.rhs, u, self.tol))
+
+    @property
+    def domain_start(self) -> float:
+        return self.rhs.boundary_at_one
+
+    @property
+    def label(self) -> str:
+        return f"{self.lhs.label} o inv({self.rhs.label})"
 
     @property
     def both_normalized(self) -> bool:
-        if self.lhs is not None and self.rhs is not None:
-            return (self.lhs.boundary_at_one == 1.0
-                    and self.rhs.boundary_at_one == 1.0)
-        # fixture on [1, inf] is treated as the normalized-pair case
-        return self.domain_start == 1.0
+        return self.lhs.boundary_at_one == self.rhs.boundary_at_one == 1.0
 
 
 def compose(s1: Generator, s2: Generator,
             tol: ToleranceProfile = DEFAULT_TOL) -> ComposedMap:
-    def h(u):
-        return geval(s1, ginvert(s2, u, tol))
-
-    return ComposedMap(h=h, domain_start=s2.boundary_at_one, lhs=s1, rhs=s2,
-                       label=f"{s1.label} o inv({s2.label})")
-
-
-def from_callable(h: Callable, domain_start: float, label: str = "h") -> ComposedMap:
-    return ComposedMap(h=h, domain_start=domain_start, label=label)
+    return ComposedMap(s1, s2, tol)
 
 
 def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
-    """Abscissae for criterion scans.
+    """Abscissae for criterion scans: u = s2(x) over ``grid.axis``.
 
-    Generator-backed maps sample u = s2(x) over ``grid.axis``, the grid plus
-    decade points down to 1e-6, reaching u ~ s2(1e-6); the exact infinity
-    branch is handled separately (h(inf) = inf makes subadditivity trivial).
-    Fixture maps sample geometrically from the domain start.
+    The axis is the grid plus decade points down to 1e-6, reaching
+    u ~ s2(1e-6); the exact infinity branch is handled separately
+    (h(inf) = inf makes subadditivity trivial).
     """
-    if m.rhs is not None:
-        u = geval(m.rhs, grid.axis)
-        u = u[np.isfinite(u)]
-    else:
-        u = m.domain_start + np.concatenate(
-            [[0.0], np.geomspace(1e-4, 1e6, 51)])
-    return np.unique(u)
+    u = geval(m.rhs, grid.axis)
+    return np.unique(u[np.isfinite(u)])
 
 
 def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -312,7 +295,7 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
     return _report("equality_test", linear, wc, c=c)
 
 
-def _linear_fit(m: Callable, u, hu, margin) -> tuple[bool, tuple, float]:
+def _linear_fit(m: ComposedMap, u, hu, margin) -> tuple[bool, tuple, float]:
     """(h = c*u with c > 0 on the samples, witness, c) for c = h(u0)/u0 at the
     median positive sample u0 (:func:`map_samples` always has one); h(u0) is
     read from hu when u0 is itself a sample (an odd count)."""
@@ -486,12 +469,19 @@ def nilpotent_guard(S: Operator, T_nilpotent: Fixture, grid: IntervalGrid,
 def proper_never_dominates_tnorm_check(
         S: TSubnorm, T: Operator, grid: IntervalGrid,
         tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """T <= S is impossible for proper S: S(x,1) < x = T(x,1) somewhere."""
+    """T <= S is impossible for proper S: S(x,1) < x = T(x,1) somewhere.
+
+    T counts as a t-norm when |T(x,1) - x| <= verdict_margin on every grid
+    point; otherwise the check does not apply.
+    """
     if not (isinstance(S, TSubnorm) and S.is_proper):
         return CriterionReport("proper_never_dominates_tnorm_check",
                                NOT_APPLICABLE, notes="left operand not proper")
-    xs = grid.points
-    gap = xs - S.surface(xs, np.asarray(1.0), tol)
+    xs, one = grid.points, np.asarray(1.0)
+    if not np.all(np.abs(T.surface(xs, one, tol) - xs) <= tol.verdict_margin):
+        return CriterionReport("proper_never_dominates_tnorm_check",
+                               NOT_APPLICABLE, notes="right operand is not a t-norm")
+    gap = xs - S.surface(xs, one, tol)
     no_gap, wc = _worst(gap, tol.verdict_margin, xs)
     if no_gap:
         return CriterionReport("proper_never_dominates_tnorm_check", FAILS, wc,

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .generators import IntervalGrid, closed_form, geval, normalize
+from .generators import IntervalGrid, geval, normalize, numeric_inverse
 from .operators import (
     FamilySpec,
     catalog,
@@ -34,7 +34,6 @@ from .ordering import (
     direct_compare,
     dominated_or_equal,
     family_monotonicity_scan,
-    from_callable,
     nilpotent_guard,
     proper_never_dominates_tnorm_check,
     ratio_criterion,
@@ -57,39 +56,32 @@ def _expect(cond: bool, msg: str):
         raise CheckFailure(msg)
 
 
+def _over_rational(f, label):
+    """(s1, s2) with s1 = f o s2 for s2(x) = 2/x - 1, so s1 o s2^{-1} = f.
+
+    f maps [1, inf] into itself, increasing, with f(1) = 1.  s1 needs no
+    closed inverse: the composed map inverts only s2.
+    """
+    s2 = make_family(FamilySpec("rational", {"a": 0.5})).generator
+    return numeric_inverse(lambda x: f(s2.fn(x)), 1.0, label), s2
+
+
 def psi_shifted_generator():
     """s1 = psi o s2 for s2(x) = 2/x - 1: subadditive map, decreasing ratio."""
-    s2 = make_family(FamilySpec("rational", {"a": 0.5})).generator
-
-    def psi(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= 2.0, -u * u + 4.0 * u - 2.0, u)
-
-    def psi_inv(w):
-        w = np.asarray(w, dtype=float)
-        return np.where(w <= 2.0, 2.0 - np.sqrt(np.maximum(2.0 - w, 0.0)), w)
-
-    s1 = closed_form(lambda x: psi(s2.fn(x)),
-                     lambda u: s2.inverse_fn(psi_inv(u)),
-                     1.0, "psi_shifted", family="psi_shifted")
-    return s1, s2
+    return _over_rational(
+        lambda u: np.where(u <= 2.0, -u * u + 4.0 * u - 2.0, u), "psi_shifted")
 
 
 def remark_fixture_maps():
-    """Concave-but-not-subadditive maps on [1, inf]."""
-    f1 = from_callable(lambda u: 2.0 * (u - 1.0) + 1.0, 1.0, "affine_k2")
-
-    def f2fn(u):
-        u = np.asarray(u, dtype=float)
-        return np.where(u <= 2.0, 2.0 * u - 1.0, 0.5 * u + 2.0)
-
+    """Concave-but-not-subadditive maps f on [1, inf], each as (f o s2) o s2^{-1}."""
+    f1 = compose(*_over_rational(lambda u: 2.0 * (u - 1.0) + 1.0, "affine_k2"))
+    f2 = compose(*_over_rational(
+        lambda u: np.where(u <= 2.0, 2.0 * u - 1.0, 0.5 * u + 2.0),
+        "piecewise_halfslope"))
     # ln(2e^u - e) written overflow-free as u + ln(2 - e^(1-u))
-    def f3fn(u):
-        u = np.asarray(u, dtype=float)
-        return u + np.log(2.0 - np.exp(1.0 - u))
-
-    return [from_callable(f2fn, 1.0, "piecewise_halfslope"),
-            from_callable(f3fn, 1.0, "log_two_exp")], f1
+    f3 = compose(*_over_rational(lambda u: u + np.log(2.0 - np.exp(1.0 - u)),
+                                 "log_two_exp"))
+    return [f2, f3], f1
 
 
 def check_example_values() -> str:

@@ -1,6 +1,7 @@
 """Asymptotic slopes, linear envelopes, and the growth-based order predicates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,15 +9,17 @@ import pytest
 from subnorms import (
     FamilySpec,
     IntervalGrid,
+    affine_shift,
     asymptotic_slope_A,
     compose,
     linear_envelope_check,
     make_family,
+    numeric_inverse,
     section4_equivalences,
     small_slope_B,
 )
 from subnorms.asymptotics import ORDER_LOWER, SAME_ORDER
-from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, from_callable, map_samples
+from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, map_samples
 
 GRID = IntervalGrid.uniform(101)
 
@@ -52,8 +55,9 @@ class TestSlopeA:
             assert est.sample_infimum is not None
             assert abs(est.value - est.sample_infimum) <= expected_tol
 
-    def test_fixture_map_route(self):
-        m = from_callable(lambda u: 2.0 * np.asarray(u) - 1.0, 1.0, "affine")
+    def test_affine_shift_slope(self):
+        s2 = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        m = compose(affine_shift(s2, 2.0, -1.0), s2)  # h = 2u - 1
         est = asymptotic_slope_A(m, GRID)
         assert est.converged
         assert est.value == pytest.approx(2.0, rel=1e-3)
@@ -123,12 +127,14 @@ class TestGrowthPredicates:
 
     def test_midpoint_matrix_evaluated_once(self):
         sizes = []
+        P = make_family(FamilySpec("product")).generator
+        H = make_family(FamilySpec("hamacher0")).generator
 
-        def h(u):
-            sizes.append(np.size(u))
-            return np.log(np.asarray(u) + 1.0)
+        def counting_fn(x):
+            sizes.append(np.size(x))
+            return P.fn(x)
 
-        m = from_callable(h, 0.0, "counting_log")
+        m = compose(replace(P, fn=counting_fn), H)  # h = ln(u+1)
         u = map_samples(m, GRID)
         u = u[u > 0]
         section4_equivalences(m, GRID)
@@ -136,7 +142,8 @@ class TestGrowthPredicates:
         assert sizes.count(u.size ** 2) == 1
 
     def test_increasing_profile_not_applicable(self):
-        m = from_callable(lambda u: np.asarray(u) ** 2, 1.0, "square")
+        s2 = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        m = compose(numeric_inverse(lambda x: s2.fn(x) ** 2, 1.0, "square"), s2)  # u^2
         out = section4_equivalences(m, GRID)
         assert out["monotone_profile"].verdict == NOT_APPLICABLE
         assert out["concave_envelope"].verdict == NOT_APPLICABLE

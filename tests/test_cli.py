@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from subnorms import DEFAULT_TOL, FamilySpec, IntervalGrid, compare, make_family
+from subnorms import (DEFAULT_TOL, FamilySpec, IntervalGrid, ParameterError, compare,
+                      make_family)
 from subnorms.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -52,6 +53,15 @@ class TestSpecGrammar:
             parse_tol(text)
         assert main(["--tol", text, "compare", "product", "hamacher0"]) == EXIT_PARSE
         assert "fields: inversion_tol, verdict_margin" in capsys.readouterr().err
+
+    def test_infinite_tolerance_is_a_domain_error(self, capsys):
+        # an infinite margin would call every pair equal
+        with pytest.raises(ParameterError, match="verdict_margin must be finite"):
+            parse_tol("verdict_margin=inf")
+        assert main(["--tol", "verdict_margin=inf", "compare", "product",
+                     "hamacher0"]) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and "verdict_margin must be finite" in err
 
 
 class TestEval:

@@ -298,6 +298,20 @@ class TestValidation:
         with pytest.raises(GeneratorValidationError):
             validate_generator(g)
 
+    def test_finite_value_at_zero_rejected(self):
+        # Lukasiewicz's generator 1 - x is finite at 0: a nilpotent t-norm,
+        # not a cancellative subnorm (S(0.3, 0.4) would be 0)
+        g = closed_form(lambda x: 1 - x, lambda u: 1 - u, 0.0, "luka")
+        with pytest.raises(GeneratorValidationError, match="s\\(0\\) must be inf"):
+            validate_generator(g)
+
+    def test_nan_at_zero_reads_inf(self):
+        # 0 * ln(0) is NaN at x = 0, which geval reads as inf
+        g = numeric_inverse(lambda x: (1.0 - x) / x + 0.0 * np.log(x), 0.0, "nan_at_0")
+        with np.errstate(all="ignore"):
+            assert np.isnan(g.fn(np.zeros(1))[0])
+        validate_generator(g)
+
     def test_overflow_plateau_rejected(self):
         # s = inf on (0, ~0.21): inf - inf differences are NaN and compare false
         with pytest.raises(GeneratorValidationError):
@@ -377,3 +391,9 @@ class TestGridAndTolerances:
         assert DEFAULT_TOL.verdict_margin == 1e-6
         assert [f.name for f in dataclasses.fields(ToleranceProfile)] == [
             "inversion_tol", "verdict_margin"]
+
+    @pytest.mark.parametrize("field", ["inversion_tol", "verdict_margin"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-6])
+    def test_tolerance_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            ToleranceProfile(**{field: value})

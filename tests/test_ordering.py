@@ -4,7 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -53,8 +53,8 @@ from subnorms.ordering import (
     INCOMPARABLE,
     NOT_APPLICABLE,
     UNKNOWN,
+    ComposedMap,
     dominated_or_equal,
-    from_callable,
     map_samples,
     run_criterion,
     serialize_report,
@@ -64,7 +64,7 @@ from subnorms.cli import parse_operator_spec
 from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK
 from subnorms.operators import Fixture, TSubnorm
 from subnorms import verify
-from subnorms.verify import remark_fixture_maps
+from subnorms.verify import psi_shifted_generator, remark_fixture_maps
 
 GRID = IntervalGrid.uniform(101)
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "data" / "reference.json"
@@ -286,12 +286,15 @@ class TestSufficientCertificates:
         assert run_criterion(name, P, R, GRID).verdict == FAILS
 
     def test_quasi_homogeneity_on_affine_map(self):
-        m = from_callable(lambda u: (3.0 * np.asarray(u) + 2.0) / 5.0, 1.0,
-                          "affine")
+        R5 = make_family(FamilySpec("rational", {"a": 0.5}))
+        R7 = make_family(FamilySpec("rational", {"a": 0.7}))
+        m = compose(R5.generator, R7.generator)  # h = (3u+2)/5
         assert quasi_homogeneity_criterion(m, GRID).verdict == HOLDS
 
     def test_quasi_homogeneity_needs_convexity(self):
-        m = from_callable(lambda u: np.log(np.asarray(u) + 1.0), 0.0, "log")
+        P = make_family(FamilySpec("product"))
+        H = make_family(FamilySpec("hamacher0"))
+        m = compose(P.generator, H.generator)  # h = ln(u+1)
         assert quasi_homogeneity_criterion(m, GRID).verdict == NOT_APPLICABLE
 
     def test_ratio_certifies_one_plus_x(self):
@@ -350,6 +353,31 @@ class TestConverseFailures:
 
     def test_remark_maps_concave_but_superadditive(self):
         verify.check_remark_maps()
+
+    def test_converse_maps_reproduce_their_closed_forms(self):
+        # each map is s1 o s2^{-1} with s1 = f o s2, so it must be f itself
+        others, f1 = remark_fixture_maps()
+        maps = [f1] + others + [compose(*psi_shifted_generator())]
+        closed = [lambda u: 2.0 * u - 1.0,
+                  lambda u: np.where(u <= 2.0, 2.0 * u - 1.0, 0.5 * u + 2.0),
+                  lambda u: np.log(2.0 * np.exp(u) - np.e),
+                  lambda u: np.where(u <= 2.0, 4.0 * u - u * u - 2.0, u)]
+        for m, f in zip(maps, closed):
+            u = map_samples(m, IntervalGrid.uniform(101))
+            with np.errstate(over="ignore"):
+                fu = f(u)
+            fin = np.isfinite(fu)  # e^u overflows far out; check those in f3's form
+            assert fin.sum() >= 90
+            np.testing.assert_array_less(
+                np.abs(m(u[fin]) - fu[fin]), 1e-9 * np.maximum(1.0, np.abs(fu[fin])))
+
+    def test_every_composed_map_is_a_generator_pair(self):
+        import subnorms
+        assert not hasattr(subnorms, "from_callable")
+        assert [f.name for f in fields(ComposedMap)] == ["lhs", "rhs", "tol"]
+        m = compose(*psi_shifted_generator())
+        assert (m.domain_start, m.both_normalized) == (1.0, True)
+        assert m.label == "psi_shifted o inv(rational(a=0.5))"
 
 
 class TestStrictTnormDominance:
@@ -419,6 +447,25 @@ class TestGuards:
     def test_strict_lhs_not_applicable(self):
         P = make_family(FamilySpec("product"))
         assert proper_never_dominates_tnorm_check(P, P, GRID).verdict == NOT_APPLICABLE
+
+    def test_proper_rhs_is_not_a_tnorm(self):
+        # T(x, 1) < x for a proper T, so the boundary row rules nothing out;
+        # HOLDS against half_product would be wrong: half_product <= rational(0.5)
+        R = make_family(FamilySpec("rational", {"a": 0.5}))
+        HP = make_family(FamilySpec("half_product"))
+        assert compare(HP, R, GRID).relation == DOMINATED
+        for T in (R, HP):
+            rep = proper_never_dominates_tnorm_check(R, T, GRID)
+            assert (rep.verdict, rep.notes) == (NOT_APPLICABLE,
+                                                "right operand is not a t-norm")
+
+    def test_tnorm_rhs_gets_the_boundary_witness(self):
+        R = make_family(FamilySpec("rational", {"a": 0.5}))
+        for T in (lukasiewicz_fixture(), yager_fixture(2.0), complete_to_tnorm(R)):
+            rep = proper_never_dominates_tnorm_check(R, T, GRID)
+            assert rep.verdict == HOLDS, T.label
+            x, s_val, t_val = rep.worst_case
+            assert s_val < x == t_val
 
 
 def _chain_row(family):
