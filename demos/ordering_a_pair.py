@@ -13,7 +13,7 @@ from subnorms import (
     compose,
     direct_compare,
     make_family,
-    ratio_criterion,
+    run_criterion,
     serialize_verdict,
     subadditivity_test,
 )
@@ -36,7 +36,7 @@ rep = subadditivity_test(m, grid)
 print(f"  subadditivity: {rep.verdict}")
 
 print("\nCheap certificate: the generator ratio s2/s1 = 1 + x is non-decreasing")
-rep = ratio_criterion(T2.generator, T1.generator, grid)
+rep = run_criterion("ratio", T2, T1, grid)
 print(f"  ratio criterion: {rep.verdict}")
 
 xs = np.linspace(0.1, 0.9, 5)

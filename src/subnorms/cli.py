@@ -23,11 +23,13 @@ from .generators import (
     ParameterError,
     ToleranceProfile,
 )
-from .operators import FAMILY_NAMES, FamilySpec, evaluate, make_family
+from .operators import FAMILY_NAMES, FamilySpec, TSubnorm, evaluate, make_family
 from .ordering import (
     CRITERION_NAMES,
     compare,
+    direct_compare,
     family_monotonicity_scan,
+    run_criterion,
     serialize_verdict,
 )
 from . import verify
@@ -123,7 +125,14 @@ def cmd_compare(args) -> int:
     S2 = _operator(args.rhs, tol)
     _check_criterion(args.criterion)
     grid = IntervalGrid.uniform(args.grid)
-    verdict = compare(S1, S2, grid, tol, criterion=args.criterion)
+    if args.criterion is None:
+        verdict = compare(S1, S2, grid, tol)
+    else:  # the named test's verdict, reported next to the oracle's
+        if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
+            raise ParameterError("named criteria need generator-backed operands")
+        rep = run_criterion(args.criterion, S1, S2, grid, tol)
+        verdict = dataclasses.replace(direct_compare(S1, S2, grid, tol),
+                                      criterion=f"{args.criterion}:{rep.verdict}")
     print(serialize_verdict(verdict))
     return EXIT_OK
 

@@ -48,6 +48,8 @@ class ToleranceProfile:
         for name in ("inversion_tol", "verdict_margin"):
             if not 0 < getattr(self, name) < INF:  # NaN fails
                 raise ParameterError(f"{name} must be finite and strictly positive")
+        if not self.inversion_tol >= 4 * np.finfo(float).eps:  # the solver's floor
+            raise ParameterError("inversion_tol must be at least 8.9e-16 (4 ulps of 1)")
         if not self.inversion_tol < self.verdict_margin:
             raise ParameterError("inversion_tol must be smaller than verdict_margin")
 

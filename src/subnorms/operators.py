@@ -237,6 +237,8 @@ def _need(spec: FamilySpec, keys: tuple[str, ...]) -> list[float]:
         _require(key in keys, f"{spec.family} has no parameter '{key}'")
     for key in keys:
         _require(key in spec.params, f"{spec.family} requires parameter '{key}'")
+        _require(math.isfinite(float(spec.params[key])),
+                 f"{spec.family} parameter '{key}' must be finite")
     return [float(spec.params[key]) for key in keys]
 
 
@@ -330,9 +332,12 @@ def yager_fixture(lam: float) -> Fixture:
     """Nilpotent Yager t-norm; comparison fixture only, no generator here."""
     _require(lam > 0, f"yager needs lambda > 0, got {lam}")
 
+    # the lambda-norm of (1-x, 1-y) scaled by its larger entry m, so that no
+    # lambda underflows it; m >= tiny keeps 0/0 out at x = y = 1
     def fn(x, y):
-        return np.maximum(
-            0.0, 1.0 - ((1.0 - x) ** lam + (1.0 - y) ** lam) ** (1.0 / lam))
+        a, b = 1.0 - x, 1.0 - y
+        m = np.maximum(np.maximum(a, b), np.finfo(float).tiny)
+        return np.maximum(0.0, 1.0 - m * ((a / m) ** lam + (b / m) ** lam) ** (1.0 / lam))
 
     return Fixture(fn=fn, label=f"yager(l={lam:g})", nilpotent=True)
 

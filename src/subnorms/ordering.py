@@ -12,14 +12,16 @@ coordinates and run the same test: the generator ratio s1/s2 is the profile at
 u = s2(x), the derivative ratio s1'/s2' is concavity of h, and
 submultiplicative-additivity and logarithmic equality (dominance by and
 equality with a strict t-norm t, through its product isomorphism w = -ln u)
-are subadditivity and linearity of h = s o t^{-1}.  The public :func:`compare`
-samples h once for the equality and ratio certificates and one residual matrix
-of h for both directions, and records which path decided.
+are subadditivity and linearity of h = s o t^{-1}.  Every named criterion is
+one row of a registry, which :func:`run_criterion` alone runs.  The public
+:func:`compare` samples h once for the equality and ratio certificates and one
+residual matrix of h for both directions, and records which path decided.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -274,11 +276,6 @@ def _report(name: str, holds, wc: tuple, failure: str = "",
                            notes="" if holds else failure, details=details)
 
 
-def _renamed(rep: CriterionReport, name: str, failure: str) -> CriterionReport:
-    """rep under ``name``, its FAILS note replaced by ``failure``."""
-    return replace(rep, criterion=name, notes=rep.notes if rep.holds else failure)
-
-
 def subadditivity_test(m: ComposedMap, grid: IntervalGrid,
                        tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
     """h(u+v) <= h(u) + h(v) over all sample pairs; exact iff S1 <= S2."""
@@ -361,71 +358,6 @@ def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
     return _report("ratio_profile_criterion", holds, wc, "profile increases")
 
 
-def ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
-                    tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """s1/s2 non-decreasing on (0,1) forces S1 <= S2 (sufficient only).
-
-    s1(x)/s2(x) is h(u)/u at u = s2(x) and s2 decreases, so this runs
-    :func:`ratio_profile_criterion` on h = s1 o s2^{-1}; the witness is the
-    profile's (u_k, u_{k+1}, step), in u = s2(x).
-    """
-    return _renamed(ratio_profile_criterion(compose(s1, s2, tol), grid, tol),
-                    "ratio_criterion", "generator ratio decreases")
-
-
-def derivative_ratio_criterion(s1: Generator, s2: Generator, grid: IntervalGrid,
-                               tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """s1'/s2' non-decreasing, plus s1*s2(1) <= s2*s1(1) when s2(1) > 0 => S1 <= S2.
-
-    Runs :func:`concavity_criterion` on h = s1 o s2^{-1}: h'(s2(x)) =
-    s1'(x)/s2'(x) and s2 decreases, so the ratio is non-decreasing in x iff h'
-    is non-increasing in u, and the side condition is h(u) <= u*h(d)/d with
-    d = s2(1).  Witness and notes are concavity's, in u = s2(x).
-    """
-    return replace(concavity_criterion(compose(s1, s2, tol), grid, tol),
-                   criterion="derivative_ratio_criterion")
-
-
-# ---------------------------------------------------------------------------
-# dominance by / equality with a strict t-norm: with w = -ln u, g(u) =
-# s(t^{-1}(-ln u)) is h(w) for h = s o t^{-1}, and u*v maps to w + w'
-
-
-def strict_dominance_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
-                          tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """S <= T iff g(u) = s(t^{-1}(-ln u)) is submultiplicative-additive.
-
-    g(u*v) <= g(u) + g(v) is h(w + w') <= h(w) + h(w'), so this runs
-    :func:`subadditivity_test` on h = normalize(s) o t^{-1}; the witness is
-    (w, w', residual).
-    """
-    if not isinstance(T, TSubnorm) or not T.is_strict:
-        return CriterionReport("strict_dominance_test", NOT_APPLICABLE,
-                               notes="right operand is not a strict t-norm")
-    if not (isinstance(S, TSubnorm) and S.is_proper):
-        return CriterionReport("strict_dominance_test", NOT_APPLICABLE,
-                               notes="left operand is not proper")
-    rep = subadditivity_test(compose(normalize(S.generator), T.generator, tol), grid, tol)
-    return _renamed(rep, "strict_dominance_test", "submultiplicative-additivity fails")
-
-
-def logarithmic_equality_test(S: TSubnorm, T: TSubnorm, grid: IntervalGrid,
-                              tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
-    """S = T iff g(u) = s(t^{-1}(-ln u)) is c*w, w = -ln u, c > 0.
-
-    g = c*w is h = s o t^{-1} linear, so this runs :func:`equality_test` on h;
-    the witness is (w, residual) and ``details["c"]`` the fitted slope.
-    """
-    if not isinstance(T, TSubnorm) or not T.is_strict:
-        return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
-                               notes="right operand is not a strict t-norm")
-    if not isinstance(S, TSubnorm):
-        return CriterionReport("logarithmic_equality_test", NOT_APPLICABLE,
-                               notes="left operand has no generator")
-    rep = equality_test(compose(S.generator, T.generator, tol), grid, tol)
-    return _renamed(rep, "logarithmic_equality_test", "g is not logarithmic")
-
-
 # ---------------------------------------------------------------------------
 # guards
 
@@ -497,38 +429,58 @@ def proper_never_dominates_tnorm_check(
 # dispatch, family scans, public compare
 
 
-def _section3_generator(S: TSubnorm) -> Generator:
-    """The generator used by criteria: normalized for proper subnorms."""
-    if not isinstance(S, TSubnorm):
+def _section3_map(S1: TSubnorm, S2: TSubnorm, tol: ToleranceProfile) -> ComposedMap:
+    """h = g1 o g2^{-1} for the generators of S1, S2, normalized if proper."""
+    if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
         raise ParameterError("named criteria need generator-backed operands")
-    g = S.generator
-    return normalize(g) if g.boundary_at_one > 0 else g
+    g1, g2 = (normalize(S.generator) if S.is_proper else S.generator for S in (S1, S2))
+    return compose(g1, g2, tol)
 
 
-def _on_generators(test):
-    def run(S1, S2, grid, tol):
-        return test(_section3_generator(S1), _section3_generator(S2), grid, tol=tol)
-    return run
+def _proper_over_strict(S: TSubnorm, T: TSubnorm,
+                        tol: ToleranceProfile) -> ComposedMap | str:
+    """h = normalize(s) o t^{-1}, or why S <= T is no strict-dominance claim."""
+    if not isinstance(T, TSubnorm) or not T.is_strict:
+        return "right operand is not a strict t-norm"
+    if not (isinstance(S, TSubnorm) and S.is_proper):
+        return "left operand is not proper"
+    return compose(normalize(S.generator), T.generator, tol)
 
 
-def _on_map(test):
-    def run(S1, S2, grid, tol):
-        m = compose(_section3_generator(S1), _section3_generator(S2), tol)
-        return test(m, grid, tol=tol)
-    return run
+def _over_strict(S: TSubnorm, T: TSubnorm,
+                 tol: ToleranceProfile) -> ComposedMap | str:
+    """h = s o t^{-1}, or why S = T is no logarithmic-equality claim."""
+    if not isinstance(T, TSubnorm) or not T.is_strict:
+        return "right operand is not a strict t-norm"
+    if not isinstance(S, TSubnorm):
+        return "left operand has no generator"
+    return compose(S.generator, T.generator, tol)
 
 
-# criterion name -> runner(S1, S2, grid, tol) for the claim S1 <= S2 (or S1 = S2)
+class _Criterion(NamedTuple):
+    test: Callable[..., CriterionReport]  # the base test on h
+    name: str  # reported name
+    failure: str | None = None  # the FAILS note, or None for the test's own
+    build: Callable = _section3_map  # h from (S1, S2, tol), or a NOT_APPLICABLE note
+
+
+# criterion name -> row, for the claim S1 <= S2 (or S1 = S2); witnesses are in
+# u = s2(x), and in w = -ln u for the strict t-norm rows
 _CRITERIA = {
-    "subadditivity": _on_map(subadditivity_test),
-    "equality": _on_map(equality_test),
-    "concavity": _on_map(concavity_criterion),
-    "quasi_homogeneity": _on_map(quasi_homogeneity_criterion),
-    "ratio": _on_generators(ratio_criterion),
-    "ratio_profile": _on_map(ratio_profile_criterion),
-    "derivative_ratio": _on_generators(derivative_ratio_criterion),
-    "strict_dominance": strict_dominance_test,
-    "logarithmic_equality": logarithmic_equality_test,
+    "subadditivity": _Criterion(subadditivity_test, "subadditivity_test"),
+    "equality": _Criterion(equality_test, "equality_test"),
+    "concavity": _Criterion(concavity_criterion, "concavity_criterion"),
+    "quasi_homogeneity": _Criterion(quasi_homogeneity_criterion,
+                                    "quasi_homogeneity_criterion"),
+    "ratio": _Criterion(ratio_profile_criterion, "ratio_criterion",
+                        "generator ratio decreases"),
+    "ratio_profile": _Criterion(ratio_profile_criterion, "ratio_profile_criterion"),
+    "derivative_ratio": _Criterion(concavity_criterion, "derivative_ratio_criterion"),
+    "strict_dominance": _Criterion(subadditivity_test, "strict_dominance_test",
+                                   "submultiplicative-additivity fails",
+                                   _proper_over_strict),
+    "logarithmic_equality": _Criterion(equality_test, "logarithmic_equality_test",
+                                       "g is not logarithmic", _over_strict),
 }
 CRITERION_NAMES = tuple(_CRITERIA)
 
@@ -538,7 +490,13 @@ def run_criterion(name: str, S1: TSubnorm, S2: TSubnorm, grid: IntervalGrid,
     """Run a named order criterion for the claim S1 <= S2 (or S1 = S2)."""
     if name not in _CRITERIA:
         raise ParameterError(f"unknown criterion {name!r}")
-    return _CRITERIA[name](S1, S2, grid, tol)
+    test, reported, failure, build = _CRITERIA[name]
+    h = build(S1, S2, tol)
+    if isinstance(h, str):
+        return CriterionReport(reported, NOT_APPLICABLE, notes=h)
+    rep = test(h, grid, tol)
+    return replace(rep, criterion=reported,
+                   notes=rep.notes if rep.holds or failure is None else failure)
 
 
 def family_monotonicity_scan(family: str, fixed_params: dict,
@@ -578,8 +536,7 @@ def family_monotonicity_scan(family: str, fixed_params: dict,
 
 
 def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
-            tol: ToleranceProfile = DEFAULT_TOL,
-            criterion: str | None = None) -> ComparisonVerdict:
+            tol: ToleranceProfile = DEFAULT_TOL) -> ComparisonVerdict:
     """Public order query: equality and ratio certificates, then the exact test.
 
     For generator-backed operands, h = g1 o g2^{-1} (normalized pair) is sampled
@@ -595,21 +552,12 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     (x, y) = g2^{-1}(u_i, u_j) are the tightest point of EQUAL, DOMINATED and
     DOMINATES, and one per direction for INCOMPARABLE; a violation without a
     strict S1 > S2 at its point (S2 > S1 reversed) makes the verdict UNKNOWN.
-    ``criterion`` forces one named test, reported next to the oracle verdict;
     :class:`Fixture` operands get the oracle.
     """
-    both_generated = isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)
-    if criterion is not None:
-        if not both_generated:
-            raise ParameterError("named criteria need generator-backed operands")
-        rep = run_criterion(criterion, S1, S2, grid, tol)
-        return replace(direct_compare(S1, S2, grid, tol),
-                       criterion=f"{criterion}:{rep.verdict}")
-    if not both_generated:
+    if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
         return direct_compare(S1, S2, grid, tol)
     margin = tol.verdict_margin
-    g1, g2 = _section3_generator(S1), _section3_generator(S2)
-    m = compose(g1, g2, tol)
+    m = _section3_map(S1, S2, tol)
     u = map_samples(m, grid)
     hu = m(u)
     if _linear_fit(m, u, hu, margin)[0]:
@@ -621,7 +569,7 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             return ComparisonVerdict(relation, [], "ratio_criterion", margin)
     R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
     (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)
-    X, Y = ginvert(g2, np.array([fwd[:2], rev[:2]]).T, tol)  # at (fwd, rev)
+    X, Y = ginvert(m.rhs, np.array([fwd[:2], rev[:2]]).T, tol)  # at (fwd, rev)
     s1, s2 = S1.surface(X, Y, tol), S2.surface(X, Y, tol)
     wits = [tuple(map(float, w)) for w in zip(X, Y, s1, s2)]
     relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),

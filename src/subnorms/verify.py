@@ -36,9 +36,8 @@ from .ordering import (
     family_monotonicity_scan,
     nilpotent_guard,
     proper_never_dominates_tnorm_check,
-    ratio_criterion,
+    ratio_profile_criterion,
     run_criterion,
-    strict_dominance_test,
     subadditivity_test,
 )
 from .asymptotics import asymptotic_slope_A, linear_envelope_check, small_slope_B
@@ -96,7 +95,7 @@ def check_example_values() -> str:
     verdict = direct_compare(T1, T2, grid)
     _expect(verdict.relation == DOMINATES, f"verdict {verdict.relation}")
     _expect(v1 - v2 > 1e-6, "no strict gap at (0.5, 0.5)")
-    rep = ratio_criterion(T2.generator, T1.generator, grid)
+    rep = run_criterion("ratio", T2, T1, grid)
     _expect(rep.verdict == HOLDS, "ratio (1+x) criterion did not certify T2 <= T1")
     xs = np.linspace(0.05, 0.95, 20)
     ratio = geval(T2.generator, xs) / geval(T1.generator, xs)
@@ -197,7 +196,7 @@ def check_psi_construction():
     m = compose(s1, s2)
     _expect(subadditivity_test(m, grid).verdict == HOLDS,
             "psi construction should be subadditive")
-    rep = ratio_criterion(s1, s2, grid)
+    rep = ratio_profile_criterion(m, grid)
     _expect(rep.verdict == FAILS, "psi ratio should decrease somewhere")
     # the witness is in u = s2(x), and psi(u)/u = 4 - u - 2/u increases
     # exactly on [1, sqrt 2]
@@ -312,7 +311,7 @@ def check_product_isomorphism_replay() -> str:
     expected = 1.0 + np.log(1.0 - np.log(u)) / LN2
     _expect(float(np.max(np.abs(g - expected))) <= 1e-9,
             "g != 1 + ln(1 - ln u)/ln 2")
-    _expect(strict_dominance_test(HP, H, grid).verdict == HOLDS,
+    _expect(run_criterion("strict_dominance", HP, H, grid).verdict == HOLDS,
             "submultiplicative-additivity should hold")
     _expect(dominated_or_equal(direct_compare(HP, H, grid)),
             "oracle should confirm xy/2 <= Hamacher product")

@@ -1,10 +1,12 @@
 """Command-line interface: spec grammar, output formats, exit codes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from subnorms import (DEFAULT_TOL, FamilySpec, IntervalGrid, ParameterError, compare,
-                      make_family)
+from subnorms import (DEFAULT_TOL, FamilySpec, IntervalGrid, ParameterError,
+                      direct_compare, make_family, run_criterion)
 from subnorms.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -14,7 +16,7 @@ from subnorms.cli import (
     parse_operator_spec,
     parse_tol,
 )
-from subnorms.ordering import serialize_verdict
+from subnorms.ordering import CRITERION_NAMES, serialize_verdict
 
 
 class TestSpecGrammar:
@@ -62,6 +64,18 @@ class TestSpecGrammar:
                      "hamacher0"]) == EXIT_DOMAIN
         out, err = capsys.readouterr()
         assert out == "" and "verdict_margin must be finite" in err
+
+    def test_inversion_tol_below_the_floor_is_a_domain_error(self, capsys):
+        assert main(["--tol", "inversion_tol=1e-16", "compare", "product",
+                     "hamacher0"]) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and "inversion_tol must be at least" in err
+
+    @pytest.mark.parametrize("spec", ["yager:l=inf", "dombi:a=0.6,l=nan"])
+    def test_non_finite_parameter_is_a_domain_error(self, spec, capsys):
+        assert main(["eval", spec, "0.5", "0.7"]) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and "must be finite" in err
 
 
 class TestEval:
@@ -118,9 +132,19 @@ class TestCompare:
         printed = capsys.readouterr().out.strip()
         S1 = make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 1.0}))
         S2 = make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0}))
-        expected = serialize_verdict(compare(S1, S2, IntervalGrid.uniform(51),
-                                             criterion="subadditivity"))
+        grid = IntervalGrid.uniform(51)
+        rep = run_criterion("subadditivity", S1, S2, grid)
+        expected = serialize_verdict(replace(direct_compare(S1, S2, grid),
+                                             criterion=f"subadditivity:{rep.verdict}"))
         assert printed == expected
+
+    @pytest.mark.parametrize("name", CRITERION_NAMES)
+    def test_named_criterion_rejects_a_fixture_operand(self, name, capsys):
+        # named criteria need generators on both sides, the strict-t-norm rows too
+        for lhs, rhs in [("product", "yager:l=2"), ("yager:l=2", "product")]:
+            assert main(["compare", lhs, rhs, "--criterion", name]) == EXIT_DOMAIN
+            out, err = capsys.readouterr()
+            assert out == "" and "generator-backed operands" in err
 
     def test_unknown_criterion(self, capsys):
         assert main(["compare", "product", "product",
@@ -160,6 +184,14 @@ class TestScan:
         assert main(["scan", "dombi:a=0.6", "--lambdas", "a,b",
                      "--criterion", "ratio"]) == EXIT_PARSE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", CRITERION_NAMES)
+    def test_named_criterion_rejects_a_fixture_operand(self, name, capsys):
+        # named criteria need generators on both sides, the strict-t-norm rows too
+        for lhs, rhs in [("product", "yager:l=2"), ("yager:l=2", "product")]:
+            assert main(["compare", lhs, rhs, "--criterion", name]) == EXIT_DOMAIN
+            out, err = capsys.readouterr()
+            assert out == "" and "generator-backed operands" in err
 
     def test_unknown_criterion(self, capsys):
         assert main(["scan", "dombi:a=0.6", "--lambdas", "0.5,1",

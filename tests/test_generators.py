@@ -252,6 +252,18 @@ class TestNumericInversion:
         np.testing.assert_allclose(got, ginvert(g, u), rtol=0, atol=self.TOL)
         assert calls <= 16
 
+    def test_inversion_at_the_tolerance_floor(self):
+        # the finest accepted inversion_tol still closes every bracket
+        tol = ToleranceProfile(inversion_tol=4 * np.finfo(float).eps)
+        xs = np.concatenate([np.geomspace(1e-6, 0.1, 6), np.linspace(0.0, 1.0, 101)[1:]])
+        for g in CATALOG_GENERATORS:
+            u = geval(g, xs)
+            np.testing.assert_allclose(ginvert(numeric_twin(g), u, tol), ginvert(g, u, tol),
+                                       rtol=0, atol=tol.inversion_tol, err_msg=g.label)
+        p = numeric_inverse(product_generator().fn, 0.0, "p")
+        np.testing.assert_allclose(ginvert(p, [0.7, 2.0], tol), np.exp([-0.7, -2.0]),
+                                   rtol=0, atol=tol.inversion_tol)
+
 
 class TestNormalization:
     def test_boundary_becomes_one(self):
@@ -391,6 +403,14 @@ class TestGridAndTolerances:
         assert DEFAULT_TOL.verdict_margin == 1e-6
         assert [f.name for f in dataclasses.fields(ToleranceProfile)] == [
             "inversion_tol", "verdict_margin"]
+
+    @pytest.mark.parametrize("value", [1e-16, 1e-300, 3 * np.finfo(float).eps])
+    def test_inversion_tol_below_float_spacing_rejected(self, value):
+        # the solver's bracket cannot close below a few ulps of 1
+        with pytest.raises(ParameterError, match="inversion_tol must be at least"):
+            ToleranceProfile(inversion_tol=value)
+        floor = 4 * np.finfo(float).eps
+        assert ToleranceProfile(inversion_tol=floor).inversion_tol == floor
 
     @pytest.mark.parametrize("field", ["inversion_tol", "verdict_margin"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1e-6])

@@ -192,6 +192,17 @@ class TestFixtures:
         assert T(0.2, 0.2) == 0.0  # (0.8^2 + 0.8^2) >= 1
         assert T(0.9, 0.9) == pytest.approx(1.0 - math.sqrt(0.02), abs=1e-12)
 
+    @pytest.mark.parametrize("lam", [100.0, 1e308])
+    def test_yager_large_lambda_stays_below_min(self, lam):
+        # (1 - x)^lam underflows to 0 for both arguments unless scaled
+        T = make_family(FamilySpec("yager", {"l": lam}))
+        grid = IntervalGrid(np.unique(np.append(np.linspace(0.0, 1.0, 21)[1:], 0.9995)))
+        assert check_axioms(T, grid).bounded_by_min.passed
+        assert T(0.9995, 0.9995) <= 0.9995
+        assert T(1.0, 1.0) == 1.0
+        if lam == 1e308:  # the limit lam -> inf is min
+            assert T(0.5, 0.7) == 0.5
+
     def test_lukasiewicz(self):
         T = lukasiewicz_fixture()
         assert T(0.7, 0.8) == pytest.approx(0.5)
@@ -210,6 +221,11 @@ class TestParameterDomains:
         FamilySpec("product", {"a": 3.0}),
         FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0, "lam": 9.0}),
         FamilySpec("lukasiewicz", {"l": 3.0}),
+        FamilySpec("yager", {"l": math.inf}),
+        FamilySpec("aa_tnorm", {"l": math.inf}),
+        FamilySpec("dombi_sub", {"a": 0.6, "l": math.inf}),
+        FamilySpec("ss_sub", {"a": 0.5, "l": -math.inf}),
+        FamilySpec("rational", {"a": math.nan}),
     ])
     def test_rejected(self, spec):
         with pytest.raises(ParameterError):

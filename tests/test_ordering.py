@@ -22,22 +22,19 @@ from subnorms import (
     complete_to_tnorm,
     compose,
     concavity_criterion,
-    derivative_ratio_criterion,
     direct_compare,
     dual_superconorm,
     equality_test,
     family_monotonicity_scan,
     from_generator,
-    logarithmic_equality_test,
     lukasiewicz_fixture,
     make_family,
     nilpotent_guard,
+    normalize,
     numeric_inverse,
     proper_never_dominates_tnorm_check,
     quasi_homogeneity_criterion,
-    ratio_criterion,
     ratio_profile_criterion,
-    strict_dominance_test,
     subadditivity_test,
     yager_fixture,
 )
@@ -60,7 +57,7 @@ from subnorms.ordering import (
     serialize_report,
     serialize_verdict,
 )
-from subnorms.cli import parse_operator_spec
+from subnorms.cli import main, parse_operator_spec
 from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK
 from subnorms.operators import Fixture, TSubnorm
 from subnorms import verify
@@ -301,8 +298,8 @@ class TestSufficientCertificates:
         # ratio of the reciprocal and Hamacher generators is 1 + x
         R = make_family(FamilySpec("reciprocal_minus_x"))
         H = make_family(FamilySpec("hamacher0"))
-        assert ratio_criterion(R.generator, H.generator, GRID).verdict == HOLDS
-        assert ratio_criterion(H.generator, R.generator, GRID).verdict == FAILS
+        assert run_criterion("ratio", R, H, GRID).verdict == HOLDS
+        assert run_criterion("ratio", H, R, GRID).verdict == FAILS
 
     def test_ratio_profile_on_composed_map(self):
         P = make_family(FamilySpec("product"))
@@ -316,20 +313,18 @@ class TestSufficientCertificates:
         R = make_family(FamilySpec("reciprocal_minus_x"))
         H = make_family(FamilySpec("hamacher0"))
         # d(1/x - x)/d((1-x)/x) = (1/x^2 + 1)/(1/x^2) = 1 + x^2 non-decreasing
-        assert derivative_ratio_criterion(
-            R.generator, H.generator, GRID).verdict == HOLDS
-        assert derivative_ratio_criterion(
-            H.generator, R.generator, GRID).verdict == FAILS
+        assert run_criterion("derivative_ratio", R, H, GRID).verdict == HOLDS
+        assert run_criterion("derivative_ratio", H, R, GRID).verdict == FAILS
 
     def test_derivative_ratio_is_concavity_of_h(self):
         # s1'/s2' non-decreasing in x is h' non-increasing in u = s2(x); the
         # ratio drops only below x ~ 1e-3, under the grid, where h is sampled
         # at the decade points
-        s1 = make_family(FamilySpec("dombi_sub", {"a": 0.2, "l": 0.3})).generator
-        s2 = make_family(FamilySpec("aa_tnorm", {"l": 3.0})).generator
-        rep = derivative_ratio_criterion(s1, s2, GRID)
+        S1 = make_family(FamilySpec("dombi_sub", {"a": 0.2, "l": 0.3}))
+        S2 = make_family(FamilySpec("aa_tnorm", {"l": 3.0}))
+        rep = run_criterion("derivative_ratio", S1, S2, GRID)
         assert rep.verdict == FAILS
-        concave = concavity_criterion(compose(s1, s2), GRID)
+        concave = concavity_criterion(compose(normalize(S1.generator), S2.generator), GRID)
         assert (rep.verdict, rep.worst_case, rep.notes) \
             == (concave.verdict, concave.worst_case, concave.notes)
 
@@ -384,13 +379,13 @@ class TestStrictTnormDominance:
     def test_half_product_below_hamacher(self):
         HP = make_family(FamilySpec("half_product"))
         H = make_family(FamilySpec("hamacher0"))
-        assert strict_dominance_test(HP, H, GRID).verdict == HOLDS
+        assert run_criterion("strict_dominance", HP, H, GRID).verdict == HOLDS
 
     def test_superadditive_pair_fails(self):
         # rational(0.5) and aa_tnorm(3) are incomparable
         R = make_family(FamilySpec("rational", {"a": 0.5}))
         A = make_family(FamilySpec("aa_tnorm", {"l": 3.0}))
-        rep = strict_dominance_test(R, A, GRID)
+        rep = run_criterion("strict_dominance", R, A, GRID)
         assert (rep.verdict, rep.notes) == (FAILS, "submultiplicative-additivity fails")
 
     def test_no_overflow_warning(self):
@@ -399,28 +394,28 @@ class TestStrictTnormDominance:
         T = make_family(FamilySpec("aa_tnorm", {"l": 0.5}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rep = strict_dominance_test(S, T, GRID)
+            rep = run_criterion("strict_dominance", S, T, GRID)
         assert rep.verdict in (HOLDS, FAILS)
 
     def test_not_applicable_cases(self):
         P = make_family(FamilySpec("product"))
         HP = make_family(FamilySpec("half_product"))
-        assert strict_dominance_test(HP, HP, GRID).verdict == NOT_APPLICABLE
-        assert strict_dominance_test(P, P, GRID).verdict == NOT_APPLICABLE
+        assert run_criterion("strict_dominance", HP, HP, GRID).verdict == NOT_APPLICABLE
+        assert run_criterion("strict_dominance", P, P, GRID).verdict == NOT_APPLICABLE
 
     def test_logarithmic_equality(self):
         P = make_family(FamilySpec("product"))
         A = make_family(FamilySpec("aa_tnorm", {"l": 2.0}))
-        rep = logarithmic_equality_test(P, P, GRID)
+        rep = run_criterion("logarithmic_equality", P, P, GRID)
         assert rep.verdict == HOLDS
         assert rep.details["c"] == pytest.approx(1.0, rel=1e-9)
-        assert logarithmic_equality_test(A, P, GRID).verdict == FAILS
+        assert run_criterion("logarithmic_equality", A, P, GRID).verdict == FAILS
 
     def test_fixture_left_operand_not_applicable(self):
         P = make_family(FamilySpec("product"))
         L = lukasiewicz_fixture()
-        assert strict_dominance_test(L, P, GRID).verdict == NOT_APPLICABLE
-        assert logarithmic_equality_test(L, P, GRID).verdict == NOT_APPLICABLE
+        assert run_criterion("strict_dominance", L, P, GRID).verdict == NOT_APPLICABLE
+        assert run_criterion("logarithmic_equality", L, P, GRID).verdict == NOT_APPLICABLE
 
 
 class TestGuards:
@@ -472,6 +467,30 @@ def _chain_row(family):
     return next(row for row in verify.FAMILY_CHAINS if row[0] == family)
 
 
+def criteria_map(S, T):
+    """h = s o t^{-1} of the criteria generators: normalized for proper operands."""
+    return compose(*(normalize(X.generator) if X.is_proper else X.generator
+                     for X in (S, T)))
+
+
+# named row -> (reported name, base test, FAILS note or None to keep the
+# test's, h from (S1, S2) or None where the row does not apply)
+RESTATED = {
+    "ratio": ("ratio_criterion", ratio_profile_criterion, "generator ratio decreases",
+              criteria_map),
+    "derivative_ratio": ("derivative_ratio_criterion", concavity_criterion, None,
+                         criteria_map),
+    "strict_dominance": ("strict_dominance_test", subadditivity_test,
+                         "submultiplicative-additivity fails",
+                         lambda S, T: compose(normalize(S.generator), T.generator)
+                         if T.is_strict and S.is_proper else None),
+    "logarithmic_equality": ("logarithmic_equality_test", equality_test,
+                             "g is not logarithmic",
+                             lambda S, T: compose(S.generator, T.generator)
+                             if T.is_strict else None),
+}
+
+
 class TestScansAndCompare:
     def test_dombi_chain_increasing(self):
         verify.check_family_chain(*_chain_row("dombi_sub"))
@@ -492,12 +511,12 @@ class TestScansAndCompare:
             oracle = direct_compare(S1, S2, grid)
             assert fast.relation == oracle.relation, (S1.label, S2.label)
 
-    def test_compare_named_criterion_records_verdict(self):
-        S1 = make_family(FamilySpec("rational", {"a": 0.5}))
-        S2 = make_family(FamilySpec("rational", {"a": 0.7}))
-        v = compare(S1, S2, GRID, criterion="subadditivity")
-        assert v.relation == DOMINATED
-        assert v.criterion == "subadditivity:holds"
+    def test_compare_named_criterion_records_verdict(self, capsys):
+        # the CLI prints the oracle's record with the named test's verdict
+        assert main(["compare", "rational:a=0.5", "rational:a=0.7",
+                     "--criterion", "subadditivity"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == ["criterion: subadditivity:holds", f"verdict: {DOMINATED}"]
 
     @staticmethod
     def counting(spec, calls):
@@ -567,6 +586,25 @@ class TestScansAndCompare:
         with pytest.raises(ParameterError):
             run_criterion("mystery", S, S, GRID)
         assert "subadditivity" in CRITERION_NAMES
+
+    @pytest.mark.parametrize("name", list(RESTATED))
+    def test_restated_row_is_its_base_test_renamed(self, name):
+        # the whole report, details included, on the 156 catalog pairs
+        reported, base, failure, build = RESTATED[name]
+        members = catalog()
+        for S1 in members:
+            for S2 in members:
+                if S1 is S2:
+                    continue
+                got = run_criterion(name, S1, S2, GRID)
+                h = build(S1, S2)
+                if h is None:
+                    assert (got.criterion, got.verdict) == (reported, NOT_APPLICABLE)
+                    continue
+                want = base(h, GRID)
+                notes = want.notes if want.holds or failure is None else failure
+                assert got == replace(want, criterion=reported, notes=notes), \
+                    (S1.label, S2.label)
 
 
 FLIP = {DOMINATED: DOMINATES, DOMINATES: DOMINATED, EQUAL: EQUAL,
@@ -652,7 +690,7 @@ class TestReferenceVerdicts:
         wrong = []
         for i, S1 in enumerate(members):
             for j, S2 in enumerate(members):
-                rep = strict_dominance_test(S1, S2, GRID)
+                rep = run_criterion("strict_dominance", S1, S2, GRID)
                 if i != j and rep.verdict != NOT_APPLICABLE and rep.holds \
                         != (ref["codes"][ref["verdicts"][i][j]] in (DOMINATED, EQUAL)):
                     wrong.append((S1.label, S2.label, rep.verdict))
