@@ -103,16 +103,20 @@ def small_slope_B(m: ComposedMap, grid: IntervalGrid,
     if m.domain_start == 0.0:
         return _probe_slope(lambda x: float(m(x)) / x)
     if m.both_normalized:
-        u, hu = _profile(m, grid)  # u >= s2(1) = 1, so u > 0 drops nothing
-        phi = hu / u
-        value = float(np.max(phi))
-        note = "sup over samples" + ("" if value <= 2.0 + tol.verdict_margin
-                                     else "; exceeds the theoretical bound 2")
-        k = int(np.argmax(phi))
-        return SlopeEstimate(value=value, converged=True,
-                             sequence=[(float(u[k]), value)], note=note)
+        return _sup_slope(*_profile(m, grid), tol)
     return SlopeEstimate(value=math.nan, converged=False,
                          note="not_applicable: mixed unnormalized pair")
+
+
+def _sup_slope(u: np.ndarray, hu: np.ndarray, tol: ToleranceProfile) -> SlopeEstimate:
+    """B of a normalized pair, sup h(u)/u over its profile (u >= s2(1) = 1)."""
+    phi = hu / u
+    value = float(np.max(phi))
+    note = "sup over samples" + ("" if value <= 2.0 + tol.verdict_margin
+                                 else "; exceeds the theoretical bound 2")
+    k = int(np.argmax(phi))
+    return SlopeEstimate(value=value, converged=True,
+                         sequence=[(float(u[k]), value)], note=note)
 
 
 def _envelope(u: np.ndarray, hu: np.ndarray, A: float, B: float,

@@ -253,11 +253,12 @@ def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
     return out
 
 
-def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
+def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
     """Invert s on its range [s(1), inf]; u = inf maps to 0.
 
     A closed ``inverse_fn`` is evaluated directly; without one, s(x) = u is
-    solved to within inversion_tol / 2 by a bracketed root finder.
+    solved to within inversion_tol / 2 by a bracketed root finder.  A given
+    ``out`` (u's shape; u itself allowed) is clamped into and inverted in place.
     """
     arr, scalar = _as_1d(u)
     low = arr.min(initial=INF)
@@ -266,27 +267,31 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
             raise DomainError("cannot invert NaN")
         raise DomainError(
             f"value {low!r} below s(1) = {g.boundary_at_one}; use pseudo_invert")
-    arr = np.maximum(arr, g.boundary_at_one)
+    out = np.maximum(arr, g.boundary_at_one, out=out)
     if g.inverse_fn is None:
-        out = np.zeros(arr.shape)
-        fin = np.isfinite(arr)
+        fin = np.isfinite(out)
         if fin.any():  # the solver's table costs hundreds of fn points
-            out[fin] = _bracket_invert(g, arr[fin], tol)
+            out[fin] = _bracket_invert(g, out[fin], tol)
+        out[~fin] = 0.0
     else:
         with np.errstate(all="ignore"):
-            vals = np.asarray(g.inverse_fn(arr), dtype=float)
-        out = np.where(np.isnan(vals) | (arr == INF), 0.0, vals)
-        np.clip(out, 0.0, 1.0, out=out)
+            vals = np.asarray(g.inverse_fn(out), dtype=float)
+        bad = out == INF
+        np.clip(vals, 0.0, 1.0, out=out)  # NaN stays NaN
+        np.copyto(out, 0.0, where=bad | np.isnan(out))
     return float(out[0]) if scalar else out
 
 
-def pseudo_invert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL):
-    """sup{x | s(x) > u}: 1 at or below s(1), the true inverse above."""
+def pseudo_invert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
+    """sup{x | s(x) > u}: 1 at or below s(1), the inverse above; ``out`` as in ginvert."""
     arr, scalar = _as_1d(u)
     if np.isnan(arr.min(initial=INF)):
         raise DomainError("cannot pseudo-invert NaN")
     b = g.boundary_at_one
-    out = np.where(arr > b, ginvert(g, np.maximum(arr, b), tol), 1.0)
+    at_one = arr <= b
+    out = np.maximum(arr, b, out=out)
+    ginvert(g, out, tol, out=out)
+    np.copyto(out, 1.0, where=at_one)
     return float(out[0]) if scalar else out
 
 

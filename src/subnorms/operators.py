@@ -4,7 +4,9 @@ Includes the parametric family catalog (Hamacher product, rational family,
 Dombi / Aczel-Alsina / Schweizer-Sklar derived subnorm families, log-power
 subnorms), axiom verification on sample grids, completion to a t-norm, the
 dual superconorm, and the nilpotent comparison fixtures (Lukasiewicz, Yager)
-which live outside the generator class.
+which live outside the generator class.  Both kinds give per-axis ``values``
+(s(x), or x for a fixture) and ``combine`` them into S, so a caller that meets
+an axis many times, as the grid oracle does, evaluates it once.
 """
 
 from __future__ import annotations
@@ -32,8 +34,16 @@ from .generators import (
 LN2 = math.log(2.0)
 
 
+class Operator:
+    """The protocol: subclasses give per-axis ``values``, ``combine`` them into S,
+    and evaluate ``surface(x, y)`` as ``combine(values(x), values(y))``."""
+
+    def __call__(self, x, y):
+        return evaluate(self, x, y)
+
+
 @dataclass(frozen=True)
-class TSubnorm:
+class TSubnorm(Operator):
     """S(x, y) = s^{(-1)}(s(x) + s(y)) for a strictly decreasing generator s.
 
     Strict t-norm iff s(1) = 0; proper subnorm iff S(1,1) < 1, i.e. s(1) > 0.
@@ -42,23 +52,29 @@ class TSubnorm:
     generator: Generator
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        """Vectorized evaluation without per-element domain checks.
+        """Vectorized evaluation without per-element domain checks."""
+        return self.combine(self.values(x), self.values(y), tol)
 
-        u = s(x) + s(y) (inf saturates) is formed from broadcast views and
-        inverted in blocks of leading-axis rows of about SOLVER_CHUNK points.
-        """
-        g = self.generator
-        sx, sy = np.broadcast_arrays(geval(g, x), geval(g, y))
-        if sx.ndim == 0:
-            return pseudo_invert(g, sx + sy, tol)
-        out = np.empty(sx.shape)
-        rows = max(1, SOLVER_CHUNK // max(1, math.prod(sx.shape[1:])))
-        for lo in range(0, sx.shape[0], rows):
-            out[lo:lo + rows] = pseudo_invert(g, sx[lo:lo + rows] + sy[lo:lo + rows], tol)
+    def values(self, x):
+        return geval(self.generator, x)
+
+    def combine(self, vx, vy, tol: ToleranceProfile = DEFAULT_TOL):
+        """s^{(-1)}(vx + vy), inf saturating.  Blocks of leading-axis rows of about
+        SOLVER_CHUNK points are summed into one reused buffer and inverted into
+        the result; a lone block is inverted in the buffer itself."""
+        shape = np.broadcast_shapes(np.shape(vx), np.shape(vy))
+        if not shape:
+            return pseudo_invert(self.generator, np.add(vx, vy), tol)
+        n, rows = shape[0], max(1, SOLVER_CHUNK // max(1, math.prod(shape[1:])))
+        buf = np.empty((min(rows, n),) + shape[1:])
+        if rows >= n:
+            return pseudo_invert(self.generator, np.add(vx, vy, out=buf), tol, out=buf)
+        vx, vy = np.broadcast_arrays(vx, vy)
+        out = np.empty(shape)
+        for lo in range(0, n, rows):
+            u = np.add(vx[lo:lo + rows], vy[lo:lo + rows], out=buf[:min(rows, n - lo)])
+            pseudo_invert(self.generator, u, tol, out=out[lo:lo + rows])
         return out
-
-    def __call__(self, x, y):
-        return evaluate(self, x, y)
 
     @property
     def label(self) -> str:
@@ -74,11 +90,11 @@ class TSubnorm:
 
 
 @dataclass(frozen=True)
-class Fixture:
+class Fixture(Operator):
     """A closed-form binary operator on the unit square, no generator attached.
 
     Used for the nilpotent comparisons (Prop. fixtures) and for completed /
-    dualized operators.
+    dualized operators.  ``fn`` receives the float arrays of ``values``.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -86,13 +102,13 @@ class Fixture:
     nilpotent: bool = False
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        return self.fn(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        return self.combine(self.values(x), self.values(y), tol)
 
-    def __call__(self, x, y):
-        return evaluate(self, x, y)
+    def values(self, x):
+        return np.asarray(x, dtype=float)
 
-
-Operator = TSubnorm | Fixture
+    def combine(self, vx, vy, tol: ToleranceProfile = DEFAULT_TOL):
+        return self.fn(vx, vy)
 
 
 def from_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> TSubnorm:
@@ -198,25 +214,15 @@ def check_axioms(S: Operator, grid: IntervalGrid,
 
 def complete_to_tnorm(S: Operator) -> Fixture:
     """Redefine the upper-right boundary to min(x, y), yielding a t-norm."""
-
-    def fn(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        boundary = (x == 1.0) | (y == 1.0)
-        interior = S.surface(x, y)
-        return np.where(boundary, np.minimum(x, y), interior)
-
-    return Fixture(fn=fn, label=f"tnorm({S.label})")
+    return Fixture(fn=lambda x, y: np.where((x == 1.0) | (y == 1.0), np.minimum(x, y),
+                                            S.surface(x, y)),
+                   label=f"tnorm({S.label})")
 
 
 def dual_superconorm(S: Operator) -> Fixture:
     """M(x, y) = 1 - S(1-x, 1-y); a t-superconorm when S is a t-subnorm."""
-
-    def fn(x, y):
-        return 1.0 - S.surface(1.0 - np.asarray(x, dtype=float),
-                               1.0 - np.asarray(y, dtype=float))
-
-    return Fixture(fn=fn, label=f"dual({S.label})")
+    return Fixture(fn=lambda x, y: 1.0 - S.surface(1.0 - x, 1.0 - y),
+                   label=f"dual({S.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
 decade points the criteria sample near 0; d = S1 - S2 is symmetric, so it
 scans one triangle of the grid in blocks of about ``SOLVER_CHUNK`` cells and
-holds O(n) memory for n points per axis.  Every other test here is a criterion
-on the composed map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2
-exactly (superadditivity S2 <= S1); linearity characterizes equality; concavity
+holds O(n) memory for n points per axis, evaluating each operand's per-axis
+values once per call.  Every other test here is a criterion on the composed
+map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2 exactly
+(superadditivity S2 <= S1); linearity characterizes equality; concavity
 (with h(u) <= u*h(d)/d when d = s2(1) > 0) and ratio profile h(u)/u are
 sufficient certificates.  Four named criteria restate these in other
 coordinates and run the same test: the generator ratio s1/s2 is the profile at
@@ -216,23 +217,24 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
                    tol: ToleranceProfile = DEFAULT_TOL) -> ComparisonVerdict:
     """Pointwise scan on 0, the grid and its decade points; the ground truth.
 
-    d = S1 - S2 is scanned on the cells j >= i of the square grid, in blocks of
-    rows of about ``SOLVER_CHUNK`` cells, each reduced to its first max and min
-    as it goes, so memory is O(n) for n points per axis.  A skipped cell
-    (i, j), j < i, mirrors a scanned (j, i) earlier in row-major order, so the
+    d = S1 - S2 is combined from each operator's per-axis values, taken once,
+    on the cells j >= i of the square grid, in blocks of rows of about
+    ``SOLVER_CHUNK`` cells, each reduced to its first max and min as it goes, so
+    memory is O(n) for n points per axis.  A skipped cell (i, j), j < i,
+    mirrors a scanned (j, i) earlier in row-major order, so the
     witnesses are the cells a full scan's argmax, argmin and argmax |d| find.
     This needs d symmetric bit for bit: S(x, y) and S(y, x) must round the
     same, as s(x) + s(y) and commutative fixture expressions do.
     """
     pts = np.concatenate([[0.0], grid.axis])
     n = pts.size
+    v1, v2 = S1.values(pts), S2.values(pts)
     ext = {}  # sign -> running first extreme (d, i, j): +1 max, -1 min
     r = 0
     while r < n:
         rows = max(1, SOLVER_CHUNK // (n - r))
-        X, Y = pts[r:r + rows, None], pts[None, r:]
-        d = S1.surface(X, Y, tol)
-        d -= S2.surface(X, Y, tol)
+        d = S1.combine(v1[r:r + rows, None], v1[None, r:], tol)
+        d -= S2.combine(v2[r:r + rows, None], v2[None, r:], tol)
         for sign, pick in ((1.0, np.argmax), (-1.0, np.argmin)):
             i, j = divmod(int(pick(d)), n - r)
             cell = (float(d[i, j]), r + i, r + j)
@@ -362,11 +364,11 @@ def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
 # guards
 
 
-def _power(op: Operator, x: float, n: int) -> float:
+def _power(op: Operator, x: float, n: int, tol: ToleranceProfile) -> float:
     """x_op^{(n)}: the n-fold diagonal power."""
     acc = x
     for _ in range(n - 1):
-        acc = float(op.surface(x, acc))
+        acc = float(op.surface(x, acc, tol))
         if acc == 0.0:
             return 0.0
     return acc
@@ -384,11 +386,11 @@ def nilpotent_guard(S: Operator, T_nilpotent: Fixture, grid: IntervalGrid,
             continue
         acc, n = x, 1
         while acc > 0.0 and n < 500:
-            acc = float(T_nilpotent.surface(x, acc))
+            acc = float(T_nilpotent.surface(x, acc, tol))
             n += 1
         if acc > 0.0:
             continue  # fixture never vanished here; try another point
-        s_power = _power(S, x, n)
+        s_power = _power(S, x, n, tol)
         if s_power > tol.verdict_margin:
             return CriterionReport(
                 "nilpotent_guard", FAILS, (x, float(n), s_power, 0.0),
@@ -421,7 +423,7 @@ def proper_never_dominates_tnorm_check(
     x = wc[0]
     return CriterionReport(
         "proper_never_dominates_tnorm_check", HOLDS,
-        (x, float(S.surface(x, 1.0)), x),
+        (x, float(S.surface(x, 1.0, tol)), x),
         notes="boundary-row witness S(x,1) < x")
 
 

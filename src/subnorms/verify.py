@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .generators import IntervalGrid, geval, normalize, numeric_inverse
+from .generators import DEFAULT_TOL, IntervalGrid, geval, normalize, numeric_inverse
 from .operators import (
     FamilySpec,
     catalog,
@@ -29,6 +29,7 @@ from .ordering import (
     DOMINATES,
     FAILS,
     HOLDS,
+    _profile,
     compose,
     concavity_criterion,
     direct_compare,
@@ -40,7 +41,7 @@ from .ordering import (
     run_criterion,
     subadditivity_test,
 )
-from .asymptotics import asymptotic_slope_A, linear_envelope_check, small_slope_B
+from .asymptotics import _envelope, _slope_A, _sup_slope, small_slope_B
 
 SQRT13 = math.sqrt(13.0)
 LN2 = math.log(2.0)
@@ -234,25 +235,27 @@ def check_growth_numbers() -> str:
     P = make_family(FamilySpec("product"))
     H = make_family(FamilySpec("hamacher0"))
     m1 = compose(P.generator, H.generator)  # h = ln(u+1)
-    A1 = asymptotic_slope_A(m1, grid)
-    B1 = small_slope_B(m1, grid)
+    u, hu = _profile(m1, grid)  # h sampled once per map: A, envelope, normalized B
+    A1 = _slope_A(m1, u, hu)
+    B1 = small_slope_B(m1, grid)  # a strict pair: probes at x -> 0, no samples
     _expect(A1.converged and abs(A1.value) <= 1e-3, f"A = {A1.value}")
     _expect(B1.converged and abs(B1.value - 1.0) <= 1e-3, f"B = {B1.value}")
     _expect(abs(A1.value - A1.sample_infimum) <= 1e-3,
             f"A vs inf phi: {A1.value} vs {A1.sample_infimum}")
-    _expect(linear_envelope_check(m1, 0.0, 1.0, grid).verdict == HOLDS,
+    _expect(_envelope(u, hu, 0.0, 1.0, DEFAULT_TOL).verdict == HOLDS,
             "0 <= ln(u+1) <= u envelope")
 
     R5 = make_family(FamilySpec("rational", {"a": 0.5}))
     R7 = make_family(FamilySpec("rational", {"a": 0.7}))
     m2 = compose(R5.generator, R7.generator)  # h = (3u+2)/5
-    A2 = asymptotic_slope_A(m2, grid)
-    B2 = small_slope_B(m2, grid)
+    u, hu = _profile(m2, grid)
+    A2 = _slope_A(m2, u, hu)
+    B2 = _sup_slope(u, hu, DEFAULT_TOL)  # a normalized pair: the sup over samples
     _expect(A2.converged and abs(A2.value - 0.6) <= 1e-3 * 0.6, f"A = {A2.value}")
     _expect(abs(A2.value - A2.sample_infimum) <= 1e-3 * 0.6,
             f"A vs inf phi: {A2.value} vs {A2.sample_infimum}")
     _expect(abs(B2.value - 1.0) <= 1e-3, f"B = {B2.value}")
-    _expect(linear_envelope_check(m2, 0.6, 1.0, grid).verdict == HOLDS,
+    _expect(_envelope(u, hu, 0.6, 1.0, DEFAULT_TOL).verdict == HOLDS,
             "3/5 <= phi <= 1 envelope")
     return "A/B limits and envelopes match the closed forms"
 

@@ -19,7 +19,8 @@ from subnorms import (
     small_slope_B,
 )
 from subnorms.asymptotics import ORDER_LOWER, SAME_ORDER
-from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, map_samples
+from subnorms import verify
+from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, ComposedMap, map_samples
 
 GRID = IntervalGrid.uniform(101)
 
@@ -140,6 +141,19 @@ class TestGrowthPredicates:
         section4_equivalences(m, GRID)
         # both the phi-convexity and the h-concavity scan read one h((u_i + u_j)/2)
         assert sizes.count(u.size ** 2) == 1
+
+    def test_growth_check_samples_each_map_once(self, monkeypatch):
+        sizes = []
+        real = ComposedMap.__call__
+
+        def counting(m, u):
+            sizes.append(np.size(u))
+            return real(m, u)
+
+        monkeypatch.setattr(ComposedMap, "__call__", counting)
+        verify.check_growth_numbers()
+        # one profile per map; the product/Hamacher B probes h at 12 scalars
+        assert sorted(n for n in sizes if n > 1) == [103, 104]
 
     def test_increasing_profile_not_applicable(self):
         s2 = make_family(FamilySpec("rational", {"a": 0.5})).generator

@@ -1,6 +1,7 @@
 """Operator construction, axioms, completion, duality and the family catalog."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from subnorms import (
     numeric_inverse,
     yager_fixture,
 )
+from subnorms.generators import SOLVER_CHUNK, geval, ginvert, pseudo_invert
 from subnorms.operators import FAMILY_NAMES
 
 GRID = IntervalGrid.uniform(21)
@@ -301,6 +303,54 @@ class TestBlockedSurface:
     def test_empty_inputs_keep_their_shape(self, S, shapes):
         x, y = (np.empty(shape) for shape in shapes)
         assert S.surface(x, y).shape == np.broadcast_shapes(*shapes)
+
+
+def numeric_twins():
+    """The catalog members with their closed inverses removed."""
+    return [from_generator(numeric_inverse(g.fn, g.boundary_at_one, f"{g.label}/numeric"))
+            for g in (S.generator for S in catalog())]
+
+
+class TestSurfaceKernel:
+    """surface is combine(values(x), values(y)): the definition, bit for bit."""
+
+    MEMBERS = catalog() + numeric_twins()
+    IDS = [S.label for S in MEMBERS]
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=IDS)
+    def test_matches_unblocked_definition(self, S):
+        ax = np.unique(np.concatenate([np.linspace(0.0, 1.0, 101),
+                                       np.geomspace(1e-6, 1.0, 60)]))
+        X, Y = ax[:, None], ax[None, :]
+        assert ax.size ** 2 > SOLVER_CHUNK  # several blocks
+        g = S.generator
+        np.testing.assert_array_equal(S.surface(X, Y),
+                                      pseudo_invert(g, geval(g, X) + geval(g, Y)))
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=IDS)
+    @pytest.mark.parametrize("invert", [pseudo_invert, ginvert])
+    def test_out_matches_allocating_call(self, S, invert):
+        b = S.generator.boundary_at_one
+        u = np.array([b, np.nextafter(b, -np.inf), np.inf, b + 0.5, 2 * b + 3.0])
+        want = invert(S.generator, u)
+        out = np.full(u.shape, np.nan)
+        assert invert(S.generator, u, out=out) is out
+        np.testing.assert_array_equal(out, want)
+        invert(S.generator, u, out=u)  # the targets' own buffer
+        np.testing.assert_array_equal(u, want)
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=IDS)
+    def test_two_point_call_allocates_no_block(self, S):
+        # a SOLVER_CHUNK block of doubles is 128 KiB
+        x, y = np.array([0.3, 0.7]), np.array([0.5, 0.9])
+        S.surface(x, y)
+        tracemalloc.start()
+        try:
+            S.surface(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 1024
 
 
 class TestValidationOnConstruction:

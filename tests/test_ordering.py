@@ -58,7 +58,8 @@ from subnorms.ordering import (
     serialize_verdict,
 )
 from subnorms.cli import main, parse_operator_spec
-from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK
+from subnorms import generators, operators, ordering
+from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK, ToleranceProfile
 from subnorms.operators import Fixture, TSubnorm
 from subnorms import verify
 from subnorms.verify import psi_shifted_generator, remark_fixture_maps
@@ -218,6 +219,41 @@ class TestTriangleScan:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+class TestOracleKernel:
+    """The oracle evaluates each operand's per-axis values once and combines blocks."""
+
+    def test_each_generator_evaluated_once(self, monkeypatch):
+        grid = IntervalGrid.uniform(401)
+        S1 = make_family(FamilySpec("rational", {"a": 0.5}))
+        S2 = make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0}))
+        seen = []
+        real = operators.geval
+
+        def counting(g, x):
+            seen.append(np.size(x))
+            return real(g, x)
+
+        for module in (generators, operators, ordering):
+            monkeypatch.setattr(module, "geval", counting)
+        v = direct_compare(S1, S2, grid)
+        # one axis per operand, plus s(x) and s(y) per operand at each witness
+        assert sum(seen) <= 2 * (grid.axis.size + 1) + 4 * len(v.witnesses)
+
+    def test_generator_against_fixture_matches_full_scan(self):
+        grid = IntervalGrid.uniform(401)
+        pts = np.concatenate([[0.0], grid.axis])
+        g = make_family(FamilySpec("aa_sub", {"a": 0.5, "l": 2.0})).generator
+        S = from_generator(numeric_inverse(g.fn, g.boundary_at_one, "aa_sub/numeric"))
+        L = lukasiewicz_fixture()
+
+        def surface(op):
+            return op.surface(pts[:, None], pts[None, :])
+
+        for S1, S2 in ((S, L), (L, S)):
+            assert serialize_verdict(direct_compare(S1, S2, grid)) == serialize_verdict(
+                full_matrix_oracle(S1, S2, pts, surface))
 
 
 class TestSubadditivity:
@@ -461,6 +497,26 @@ class TestGuards:
             assert rep.verdict == HOLDS, T.label
             x, s_val, t_val = rep.worst_case
             assert s_val < x == t_val
+
+    def test_guards_use_the_callers_tol(self):
+        # a bisecting twin whose inverse moves with inversion_tol
+        g = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        S = from_generator(numeric_inverse(g.fn, g.boundary_at_one, "rational/numeric"))
+        tol = ToleranceProfile(inversion_tol=1e-7)
+        rep = nilpotent_guard(S, lukasiewicz_fixture(), GRID, tol)
+        x, n = rep.details["x"], rep.details["n"]
+
+        def power(t):
+            acc = x
+            for _ in range(n - 1):
+                acc = float(S.surface(x, acc, t))
+            return acc
+
+        assert rep.details["s_power"] == power(tol) != power(DEFAULT_TOL)
+        rep = proper_never_dominates_tnorm_check(S, make_family(FamilySpec("product")),
+                                                 GRID, tol)
+        x, s_val, _ = rep.worst_case
+        assert s_val == float(S.surface(x, 1.0, tol)) != float(S.surface(x, 1.0))
 
 
 def _chain_row(family):
