@@ -57,8 +57,8 @@ def parse_operator_spec(text: str) -> FamilySpec:
     """Parse ``name[:key=val,...]`` into a FamilySpec.
 
     Grammar errors (bad syntax, unknown name, non-numeric value) raise
-    SpecSyntaxError; parameter-domain violations surface later from the
-    family constructors.
+    SpecSyntaxError; parameter-domain violations surface later from
+    ``make_family``.
     """
     name, _, tail = text.partition(":")
     name = name.strip()

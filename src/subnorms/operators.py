@@ -1,19 +1,23 @@
 """Continuous cancellative t-subnorms built from additive generators.
 
-Includes the parametric family catalog (Hamacher product, rational family,
-Dombi / Aczel-Alsina / Schweizer-Sklar derived subnorm families, log-power
-subnorms), axiom verification on sample grids, completion to a t-norm, the
-dual superconorm, and the nilpotent comparison fixtures (Lukasiewicz, Yager)
-which live outside the generator class.  Both kinds give per-axis ``values``
-(s(x), or x for a fixture) and ``combine`` them into S, so a caller that meets
-an axis many times, as the grid oracle does, evaluates it once.
+Includes axiom verification on sample grids, completion to a t-norm, the
+dual superconorm, and the parametric family catalog (Hamacher product,
+rational family, Dombi / Aczel-Alsina / Schweizer-Sklar derived subnorm
+families, log-power subnorms).  Each family is one row of one table,
+``_FAMILIES``: its parameter domains and its formulas s(x), s^{-1}(u) and
+s(1).  The nilpotent comparison fixtures (Lukasiewicz, Yager), which live
+outside the generator class, are rows with a ``combine`` formula instead.
+One builder checks a spec's parameters against its row for every member.
+Both operator kinds give per-axis ``values`` (s(x), or x for a fixture) and
+``combine`` them into S, so a caller that meets an axis many times, as the
+grid oracle does, evaluates it once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -94,10 +98,11 @@ class Fixture(Operator):
     """A closed-form binary operator on the unit square, no generator attached.
 
     Used for the nilpotent comparisons (Prop. fixtures) and for completed /
-    dualized operators.  ``fn`` receives the float arrays of ``values``.
+    dualized operators.  ``fn(x, y, tol)`` receives the float arrays of
+    ``values`` and the caller's tolerances.
     """
 
-    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray, ToleranceProfile], np.ndarray]
     label: str
     nilpotent: bool = False
 
@@ -108,7 +113,7 @@ class Fixture(Operator):
         return np.asarray(x, dtype=float)
 
     def combine(self, vx, vy, tol: ToleranceProfile = DEFAULT_TOL):
-        return self.fn(vx, vy)
+        return self.fn(vx, vy, tol)
 
 
 def from_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> TSubnorm:
@@ -214,14 +219,14 @@ def check_axioms(S: Operator, grid: IntervalGrid,
 
 def complete_to_tnorm(S: Operator) -> Fixture:
     """Redefine the upper-right boundary to min(x, y), yielding a t-norm."""
-    return Fixture(fn=lambda x, y: np.where((x == 1.0) | (y == 1.0), np.minimum(x, y),
-                                            S.surface(x, y)),
+    return Fixture(fn=lambda x, y, tol: np.where((x == 1.0) | (y == 1.0), np.minimum(x, y),
+                                                 S.surface(x, y, tol)),
                    label=f"tnorm({S.label})")
 
 
 def dual_superconorm(S: Operator) -> Fixture:
     """M(x, y) = 1 - S(1-x, 1-y); a t-superconorm when S is a t-subnorm."""
-    return Fixture(fn=lambda x, y: 1.0 - S.surface(1.0 - x, 1.0 - y),
+    return Fixture(fn=lambda x, y, tol: 1.0 - S.surface(1.0 - x, 1.0 - y, tol),
                    label=f"dual({S.label})")
 
 
@@ -231,21 +236,10 @@ def dual_superconorm(S: Operator) -> Fixture:
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Name plus parameters of a catalog family; _GENERATOR_FAMILIES lists the keys."""
+    """Name plus parameters of a catalog family; ``_FAMILIES`` lists the names."""
 
     family: str
     params: dict = field(default_factory=dict)
-
-
-def _need(spec: FamilySpec, keys: tuple[str, ...]) -> list[float]:
-    """The spec's values for its family's declared keys, in declared order."""
-    for key in spec.params:
-        _require(key in keys, f"{spec.family} has no parameter '{key}'")
-    for key in keys:
-        _require(key in spec.params, f"{spec.family} requires parameter '{key}'")
-        _require(math.isfinite(float(spec.params[key])),
-                 f"{spec.family} parameter '{key}' must be finite")
-    return [float(spec.params[key]) for key in keys]
 
 
 def _require(cond: bool, msg: str):
@@ -253,144 +247,132 @@ def _require(cond: bool, msg: str):
         raise ParameterError(msg)
 
 
-def product_generator() -> Generator:
-    return closed_form(lambda x: -np.log(x), lambda u: np.exp(-u), 0.0,
-                       "product", family="product")
+class _GeneratorRow(NamedTuple):
+    """A generator family: its parameters, each (key, admissible test, domain
+    text), then s(x, *p), s^{-1}(u, *p) and s(1; p)."""
+
+    params: tuple
+    s: Callable
+    inverse: Callable
+    at_one: Callable
 
 
-def hamacher0_generator() -> Generator:
-    return closed_form(lambda x: (1.0 - x) / x, lambda u: 1.0 / (1.0 + u), 0.0,
-                       "hamacher0", family="hamacher0")
+class _FixtureRow(NamedTuple):
+    """A nilpotent fixture family: its parameters and S = combine(x, y, *p)."""
+
+    params: tuple
+    combine: Callable
 
 
-def reciprocal_minus_x_generator() -> Generator:
-    # inverse written in the catastrophic-cancellation-free form
-    return closed_form(lambda x: 1.0 / x - x,
-                       lambda u: 2.0 / (np.sqrt(u * u + 4.0) + u),
-                       0.0, "reciprocal_minus_x", family="reciprocal_minus_x")
+_A = ("a", lambda a: 0 < a < 1, "a in (0,1)")
+_L = ("l", lambda lam: lam > 0, "lambda > 0")
+_NEG_L = ("l", lambda lam: lam < 0, "lambda < 0")
 
 
-def aa_tnorm_generator(lam: float) -> Generator:
-    _require(lam > 0, f"aa_tnorm needs lambda > 0, got {lam}")
-    return closed_form(lambda x: (-np.log(x)) ** lam,
-                       lambda u: np.exp(-u ** (1.0 / lam)),
-                       0.0, f"aa_tnorm(l={lam:g})", family="aa_tnorm", params=(lam,))
-
-
-def half_product_generator() -> Generator:
-    return closed_form(lambda x: 1.0 - np.log(x) / LN2,
-                       lambda u: np.exp2(1.0 - u),
-                       1.0, "half_product", family="half_product")
-
-
-def rational_generator(a: float) -> Generator:
-    # s(x) = (1/x - a)/(1 - a), normalized; reproduces 2/x - 1 at a = 0.5
-    # and 10/(3x) - 7/3 at a = 0.7, the generators of xy/(x + y - a*xy)
-    _require(0 < a < 1, f"rational needs a in (0,1), got {a}")
-    return closed_form(lambda x: (1.0 / x - a) / (1.0 - a),
-                       lambda u: 1.0 / (u * (1.0 - a) + a),
-                       1.0, f"rational(a={a:g})", family="rational", params=(a,))
-
-
-def dombi_sub_generator(a: float, lam: float) -> Generator:
-    _require(0 < a < 1, f"dombi_sub needs a in (0,1), got {a}")
-    _require(lam > 0, f"dombi_sub needs lambda > 0, got {lam}")
-    return closed_form(
-        lambda x: ((1.0 / x - a) / (1.0 - a)) ** lam,
-        lambda u: 1.0 / (u ** (1.0 / lam) * (1.0 - a) + a),
-        1.0, f"dombi_sub(a={a:g},l={lam:g})", family="dombi_sub", params=(a, lam))
-
-
-def aa_sub_generator(a: float, lam: float) -> Generator:
-    # normalized form (-ln(ax))^lam / (-ln a)^lam; regenerates the stated
-    # closed form (1/a) * exp(-((-ln ax)^lam + (-ln ay)^lam)^(1/lam))
-    _require(0 < a < 1, f"aa_sub needs a in (0,1), got {a}")
-    _require(lam > 0, f"aa_sub needs lambda > 0, got {lam}")
-    la = -math.log(a)
-    return closed_form(
-        lambda x: (-np.log(a * x)) ** lam / la ** lam,
-        lambda u: np.exp(-(u ** (1.0 / lam)) * la) / a,
-        1.0, f"aa_sub(a={a:g},l={lam:g})", family="aa_sub", params=(a, lam))
-
-
-def ss_sub_generator(a: float, lam: float) -> Generator:
-    _require(0 < a < 1, f"ss_sub needs a in (0,1), got {a}")
-    _require(lam < 0, f"ss_sub needs lambda < 0, got {lam}")
-    d = 1.0 - a ** lam  # negative for lam < 0
-    return closed_form(
-        lambda x: (1.0 - (a * x) ** lam) / d,
-        lambda u: (1.0 - u * d) ** (1.0 / lam) / a,
-        1.0, f"ss_sub(a={a:g},l={lam:g})", family="ss_sub", params=(a, lam))
-
-
-def log_sub_generator(a: float, lam: float) -> Generator:
-    # raw (unnormalized): s(1) = (-ln a)^lam > 0 for a < 1
-    _require(0 < a < 1, f"log_sub needs a in (0,1), got {a}")
-    _require(lam > 0, f"log_sub needs lambda > 0, got {lam}")
-    return closed_form(
-        lambda x: (-np.log(a * x)) ** lam,
-        lambda u: np.exp(-(u ** (1.0 / lam))) / a,
-        (-math.log(a)) ** lam,
-        f"log_sub(a={a:g},l={lam:g})", family="log_sub", params=(a, lam))
-
-
-def yager_fixture(lam: float) -> Fixture:
-    """Nilpotent Yager t-norm; comparison fixture only, no generator here."""
-    _require(lam > 0, f"yager needs lambda > 0, got {lam}")
-
+def _yager(x, y, lam):
     # the lambda-norm of (1-x, 1-y) scaled by its larger entry m, so that no
     # lambda underflows it; m >= tiny keeps 0/0 out at x = y = 1
-    def fn(x, y):
-        a, b = 1.0 - x, 1.0 - y
-        m = np.maximum(np.maximum(a, b), np.finfo(float).tiny)
-        return np.maximum(0.0, 1.0 - m * ((a / m) ** lam + (b / m) ** lam) ** (1.0 / lam))
-
-    return Fixture(fn=fn, label=f"yager(l={lam:g})", nilpotent=True)
+    a, b = 1.0 - x, 1.0 - y
+    m = np.maximum(np.maximum(a, b), np.finfo(float).tiny)
+    return np.maximum(0.0, 1.0 - m * ((a / m) ** lam + (b / m) ** lam) ** (1.0 / lam))
 
 
-def lukasiewicz_fixture() -> Fixture:
-    return Fixture(fn=lambda x, y: np.maximum(0.0, x + y - 1.0),
-                   label="lukasiewicz", nilpotent=True)
-
-
-# family name -> (parameter keys, builder taking their values in that order)
-_GENERATOR_FAMILIES = {
-    "product": ((), product_generator),
-    "hamacher0": ((), hamacher0_generator),
-    "reciprocal_minus_x": ((), reciprocal_minus_x_generator),
-    "half_product": ((), half_product_generator),
-    "aa_tnorm": (("l",), aa_tnorm_generator),
-    "rational": (("a",), rational_generator),
-    "dombi_sub": (("a", "l"), dombi_sub_generator),
-    "aa_sub": (("a", "l"), aa_sub_generator),
-    "ss_sub": (("a", "l"), ss_sub_generator),
-    "log_sub": (("a", "l"), log_sub_generator),
+# one row per family, in the order of FAMILY_NAMES; _build makes every member
+_FAMILIES = {
+    "product": _GeneratorRow(
+        (), lambda x: -np.log(x), lambda u: np.exp(-u), lambda: 0.0),
+    "hamacher0": _GeneratorRow(
+        (), lambda x: (1.0 - x) / x, lambda u: 1.0 / (1.0 + u), lambda: 0.0),
+    # inverse written in the catastrophic-cancellation-free form
+    "reciprocal_minus_x": _GeneratorRow(
+        (), lambda x: 1.0 / x - x, lambda u: 2.0 / (np.sqrt(u * u + 4.0) + u),
+        lambda: 0.0),
+    "half_product": _GeneratorRow(
+        (), lambda x: 1.0 - np.log(x) / LN2, lambda u: np.exp2(1.0 - u), lambda: 1.0),
+    "aa_tnorm": _GeneratorRow(
+        (_L,), lambda x, lam: (-np.log(x)) ** lam,
+        lambda u, lam: np.exp(-u ** (1.0 / lam)), lambda lam: 0.0),
+    # s(x) = (1/x - a)/(1 - a), normalized; reproduces 2/x - 1 at a = 0.5
+    # and 10/(3x) - 7/3 at a = 0.7, the generators of xy/(x + y - a*xy)
+    "rational": _GeneratorRow(
+        (_A,), lambda x, a: (1.0 / x - a) / (1.0 - a),
+        lambda u, a: 1.0 / (u * (1.0 - a) + a), lambda a: 1.0),
+    "dombi_sub": _GeneratorRow(
+        (_A, _L), lambda x, a, lam: ((1.0 / x - a) / (1.0 - a)) ** lam,
+        lambda u, a, lam: 1.0 / (u ** (1.0 / lam) * (1.0 - a) + a), lambda a, lam: 1.0),
+    # normalized form (-ln(ax))^lam / (-ln a)^lam; regenerates the stated
+    # closed form (1/a) * exp(-((-ln ax)^lam + (-ln ay)^lam)^(1/lam))
+    "aa_sub": _GeneratorRow(
+        (_A, _L), lambda x, a, lam: (-np.log(a * x)) ** lam / (-math.log(a)) ** lam,
+        lambda u, a, lam: np.exp(-(u ** (1.0 / lam)) * -math.log(a)) / a,
+        lambda a, lam: 1.0),
+    # 1 - a^lam is negative for lam < 0
+    "ss_sub": _GeneratorRow(
+        (_A, _NEG_L), lambda x, a, lam: (1.0 - (a * x) ** lam) / (1.0 - a ** lam),
+        lambda u, a, lam: (1.0 - u * (1.0 - a ** lam)) ** (1.0 / lam) / a,
+        lambda a, lam: 1.0),
+    # raw (unnormalized): s(1) = (-ln a)^lam > 0 for a < 1
+    "log_sub": _GeneratorRow(
+        (_A, _L), lambda x, a, lam: (-np.log(a * x)) ** lam,
+        lambda u, a, lam: np.exp(-(u ** (1.0 / lam))) / a,
+        lambda a, lam: (-math.log(a)) ** lam),
+    "yager": _FixtureRow((_L,), _yager),
+    "lukasiewicz": _FixtureRow((), lambda x, y: np.maximum(0.0, x + y - 1.0)),
 }
 
-_FIXTURE_FAMILIES = {
-    "yager": (("l",), yager_fixture),
-    "lukasiewicz": ((), lukasiewicz_fixture),
-}
+FAMILY_NAMES = tuple(_FAMILIES)
 
-FAMILY_NAMES = tuple(_GENERATOR_FAMILIES) + tuple(_FIXTURE_FAMILIES)
+
+def _build(spec: FamilySpec) -> tuple[_GeneratorRow | _FixtureRow, tuple, str]:
+    """The spec's row, its parameter values in declared order and its label
+    ``name(k=v,...)``; raises ParameterError for an unknown family or a
+    parameter that is unknown, missing, not a finite number or out of domain."""
+    name, given = spec.family, spec.params
+    _require(name in _FAMILIES, f"unknown family {name!r}")
+    row = _FAMILIES[name]
+    keys = [key for key, _, _ in row.params]
+    for key in given:
+        _require(key in keys, f"{name} has no parameter '{key}'")
+    values = []
+    for key in keys:
+        _require(key in given, f"{name} requires parameter '{key}'")
+        try:
+            v = float(given[key])
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"{name} parameter '{key}' must be a number, got {given[key]!r}") from None
+        _require(math.isfinite(v), f"{name} parameter '{key}' must be finite")
+        values.append(v)
+    for (key, ok, domain), v in zip(row.params, values):
+        _require(ok(v), f"{name} needs {domain}, got {v}")
+    args = ",".join(f"{k}={v:g}" for k, v in zip(keys, values))
+    return row, tuple(values), f"{name}({args})" if keys else name
 
 
 def family_generator(spec: FamilySpec) -> Generator:
     """The generator of a spec; raises for the nilpotent fixture families."""
-    if spec.family in _FIXTURE_FAMILIES:
-        raise ParameterError(f"{spec.family} has no generator in this class")
-    if spec.family not in _GENERATOR_FAMILIES:
-        raise ParameterError(f"unknown family {spec.family!r}")
-    keys, build = _GENERATOR_FAMILIES[spec.family]
-    return build(*_need(spec, keys))
+    _require(not isinstance(_FAMILIES.get(spec.family), _FixtureRow),
+             f"{spec.family} has no generator in this class")
+    row, p, label = _build(spec)
+    return closed_form(lambda x: row.s(x, *p), lambda u: row.inverse(u, *p),
+                       row.at_one(*p), label, family=spec.family, params=p)
 
 
 def make_family(spec: FamilySpec, tol: ToleranceProfile = DEFAULT_TOL) -> Operator:
     """Instantiate a catalog family; fixtures for the nilpotent names."""
-    if spec.family in _FIXTURE_FAMILIES:
-        keys, build = _FIXTURE_FAMILIES[spec.family]
-        return build(*_need(spec, keys))
-    return from_generator(family_generator(spec), tol)
+    if not isinstance(_FAMILIES.get(spec.family), _FixtureRow):
+        return from_generator(family_generator(spec), tol)
+    row, p, label = _build(spec)
+    return Fixture(lambda x, y, _tol: row.combine(x, y, *p), label, nilpotent=True)
+
+
+def yager_fixture(lam: float) -> Fixture:
+    """Nilpotent Yager t-norm; comparison fixture only, no generator here."""
+    return make_family(FamilySpec("yager", {"l": lam}))
+
+
+def lukasiewicz_fixture() -> Fixture:
+    return make_family(FamilySpec("lukasiewicz"))
 
 
 def catalog(tol: ToleranceProfile = DEFAULT_TOL) -> list[TSubnorm]:

@@ -29,15 +29,13 @@ from subnorms import (
     pseudo_invert,
     validate_generator,
 )
-from subnorms.operators import (
-    FamilySpec,
-    catalog,
-    dombi_sub_generator,
-    family_generator,
-    hamacher0_generator,
-    product_generator,
-    rational_generator,
-)
+from subnorms.operators import FamilySpec, catalog, family_generator
+
+
+def member(family, **params):
+    """The generator of one catalog family member, e.g. member("rational", a=0.5)."""
+    return family_generator(FamilySpec(family, params))
+
 
 # the 51 family members that, with catalog(), form the 64-member extended catalog
 EXTENDED_SPECS = (
@@ -54,7 +52,7 @@ CATALOG_GENERATORS = [S.generator for S in catalog()]
 
 def numeric_twin_of_rational():
     """rational(0.5), s(x) = 2/x - 1, without its closed inverse."""
-    return numeric_inverse(rational_generator(0.5).fn, 1.0, "rational(a=0.5)/numeric")
+    return numeric_inverse(member("rational", a=0.5).fn, 1.0, "rational(a=0.5)/numeric")
 
 
 def bisect_oracle(fn, target, lo=0.0, hi=1.0, iters=100):
@@ -70,7 +68,7 @@ def bisect_oracle(fn, target, lo=0.0, hi=1.0, iters=100):
 
 # fn(0) is inf, finite (1e300 - 1) and NaN (0/0); geval(0) is inf all the same
 ZERO_RULES = [
-    product_generator(),
+    member("product"),
     numeric_inverse(lambda x: 1.0 / (x + 1e-300) - 1.0, 0.0, "finite_at_0"),
     numeric_inverse(lambda x: (1.0 - x) * x / (x * x), 0.0, "nan_at_0"),
 ]
@@ -86,18 +84,18 @@ class TestEvaluation:
             assert out[0] == INF and out[2] == INF and math.isfinite(out[1]), g.label
 
     def test_boundary_at_one(self):
-        assert geval(product_generator(), 1.0) == 0.0
-        assert geval(rational_generator(0.5), 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert geval(member("product"), 1.0) == 0.0
+        assert geval(member("rational", a=0.5), 1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_vectorized(self):
-        g = hamacher0_generator()
+        g = member("hamacher0")
         xs = np.array([0.0, 0.25, 0.5, 1.0])
         out = geval(g, xs)
         assert out[0] == INF
         np.testing.assert_allclose(out[1:], [3.0, 1.0, 0.0], atol=1e-12)
 
     def test_rejects_out_of_range(self):
-        g = product_generator()
+        g = member("product")
         for bad in (-0.1, 1.1, math.nan, np.array([0.5, 1.1]), np.array([-0.1, 0.5])):
             with pytest.raises(DomainError, match="outside"):
                 geval(g, bad)
@@ -110,7 +108,7 @@ class TestEvaluation:
         (lambda g, v: evaluate(from_generator(g), 0.5, v), "NaN argument"),
     ], ids=["geval", "ginvert", "pseudo_invert", "evaluate_x", "evaluate_y"])
     @pytest.mark.parametrize("bad", NAN_INPUTS, ids=["scalar", "array"])
-    @pytest.mark.parametrize("g", [rational_generator(0.5), numeric_twin_of_rational()],
+    @pytest.mark.parametrize("g", [member("rational", a=0.5), numeric_twin_of_rational()],
                              ids=["closed", "numeric"])
     def test_nan_raises_domain_error(self, call, message, bad, g):
         with pytest.raises(DomainError, match=message):
@@ -119,36 +117,36 @@ class TestEvaluation:
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
     @pytest.mark.parametrize("call", [geval, ginvert, pseudo_invert],
                              ids=["geval", "ginvert", "pseudo_invert"])
-    @pytest.mark.parametrize("g", [rational_generator(0.5), numeric_twin_of_rational()],
+    @pytest.mark.parametrize("g", [member("rational", a=0.5), numeric_twin_of_rational()],
                              ids=["closed", "numeric"])
     def test_empty_arrays_keep_their_shape(self, shape, call, g):
         assert call(g, np.empty(shape)).shape == shape
 
     def test_infinity_saturates_under_addition(self):
-        g = product_generator()
+        g = member("product")
         assert geval(g, 0.0) + geval(g, 0.5) == INF
         assert geval(g, 0.0) > 1e308
 
 
 class TestInversion:
     def test_closed_inverse_round_trip(self):
-        g = rational_generator(0.5)
+        g = member("rational", a=0.5)
         for u in (1.0, 1.5, 3.0, 10.0, 1e6):
             assert geval(g, ginvert(g, u)) == pytest.approx(u, rel=1e-9)
 
     def test_infinity_inverts_to_zero(self):
         # the second inverse, 1/(1+u) + 0*(u*u), is NaN at u = inf and where
         # u*u overflows; NaN results give 0 like inf targets
-        nan_at_inf = closed_form(hamacher0_generator().fn,
+        nan_at_inf = closed_form(member("hamacher0").fn,
                                  lambda u: 1.0 / (1.0 + u) + 0.0 * (u * u), 0.0, "nan_at_inf")
-        for g in (product_generator(), nan_at_inf):
+        for g in (member("product"), nan_at_inf):
             assert ginvert(g, INF) == 0.0, g.label
             out = ginvert(g, np.array([INF, geval(g, 0.5), INF, 1e200]))
             assert out[0] == 0.0 and out[2] == 0.0 and out[3] == 0.0, g.label
             assert out[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_below_range_raises(self):
-        g = rational_generator(0.5)  # s(1) = 1
+        g = member("rational", a=0.5)  # s(1) = 1
         with pytest.raises(DomainError):
             ginvert(g, 0.5)
 
@@ -161,8 +159,8 @@ class TestInversion:
         assert ginvert(g, 3.0) == pytest.approx(expected, abs=1e-9)
 
     def test_pseudo_inverse_clamps_below_boundary(self):
-        for g in (rational_generator(0.5), numeric_twin_of_rational(),
-                  affine_shift(product_generator(), 1.0, 0.3)):
+        for g in (member("rational", a=0.5), numeric_twin_of_rational(),
+                  affine_shift(member("product"), 1.0, 0.3)):
             b = g.boundary_at_one
             for u in (0.5 * b, 0.0, b):  # below and at s(1)
                 assert pseudo_invert(g, u) == 1.0, g.label
@@ -172,8 +170,8 @@ class TestInversion:
     @given(st.floats(min_value=1e-6, max_value=1.0))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, x):
-        for g in (product_generator(), hamacher0_generator(),
-                  rational_generator(0.3)):
+        for g in (member("product"), member("hamacher0"),
+                  member("rational", a=0.3)):
             u = geval(g, x)
             assert ginvert(g, u) == pytest.approx(x, rel=1e-8, abs=1e-9)
 
@@ -214,7 +212,7 @@ class TestNumericInversion:
         self.assert_agrees(g, geval(g, xs))
 
     def test_chunked_targets(self):
-        g = hamacher0_generator()
+        g = member("hamacher0")
         xs = np.random.default_rng(3).uniform(0.0, 1.0, 40_000)
         self.assert_agrees(g, geval(g, xs))
 
@@ -228,7 +226,7 @@ class TestNumericInversion:
 
     def test_generator_without_inverse_fn(self):
         # no inverse_fn given: ginvert solves numerically, like numeric_inverse
-        g = hamacher0_generator()
+        g = member("hamacher0")
         plain = Generator(g.fn, g.boundary_at_one, "plain")
         xs = np.linspace(0.0, 1.0, 101)[1:]
         np.testing.assert_allclose(ginvert(plain, geval(g, xs)), xs,
@@ -260,14 +258,14 @@ class TestNumericInversion:
             u = geval(g, xs)
             np.testing.assert_allclose(ginvert(numeric_twin(g), u, tol), ginvert(g, u, tol),
                                        rtol=0, atol=tol.inversion_tol, err_msg=g.label)
-        p = numeric_inverse(product_generator().fn, 0.0, "p")
+        p = numeric_inverse(member("product").fn, 0.0, "p")
         np.testing.assert_allclose(ginvert(p, [0.7, 2.0], tol), np.exp([-0.7, -2.0]),
                                    rtol=0, atol=tol.inversion_tol)
 
 
 class TestNormalization:
     def test_boundary_becomes_one(self):
-        g = rational_generator(0.7)  # already normalized
+        g = member("rational", a=0.7)  # already normalized
         scaled = affine_shift(g, 4.0, 0.0)
         assert scaled.boundary_at_one == pytest.approx(4.0)
         n = normalize(scaled)
@@ -278,7 +276,7 @@ class TestNormalization:
     def test_operator_invariant_under_scaling(self):
         # grid oracle: scaling the generator must not move the surface
         from subnorms import from_generator
-        g = rational_generator(0.5)
+        g = member("rational", a=0.5)
         S = from_generator(g)
         Sc = from_generator(affine_shift(g, 7.5, 0.0))
         xs = np.linspace(0.0, 1.0, 41)
@@ -287,16 +285,16 @@ class TestNormalization:
 
     def test_tnorm_generator_rejects_normalization(self):
         with pytest.raises(NormalizationError):
-            normalize(product_generator())
+            normalize(member("product"))
 
     def test_affine_shift_rejects_nonpositive_scale(self):
         with pytest.raises(ParameterError):
-            affine_shift(product_generator(), 0.0, 1.0)
+            affine_shift(member("product"), 0.0, 1.0)
 
 
 class TestValidation:
     def test_catalog_member_passes(self):
-        validate_generator(rational_generator(0.5))
+        validate_generator(member("rational", a=0.5))
 
     def test_increasing_rule_rejected(self):
         g = closed_form(lambda x: np.asarray(x, dtype=float),
@@ -327,7 +325,7 @@ class TestValidation:
     def test_overflow_plateau_rejected(self):
         # s = inf on (0, ~0.21): inf - inf differences are NaN and compare false
         with pytest.raises(GeneratorValidationError):
-            validate_generator(dombi_sub_generator(0.6, 300.0))
+            validate_generator(member("dombi_sub", a=0.6, l=300.0))
 
     @pytest.mark.parametrize("g", CATALOG_GENERATORS + [
         family_generator(spec) for spec in EXTENDED_SPECS], ids=lambda g: g.label)

@@ -1,6 +1,7 @@
 """Operator construction, axioms, completion, duality and the family catalog."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from subnorms import (
     FamilySpec,
     IntervalGrid,
     ParameterError,
+    ToleranceProfile,
     catalog,
     check_axioms,
     complete_to_tnorm,
@@ -126,7 +128,7 @@ class TestAxioms:
 
     def test_noncommutative_fixture_flagged(self):
         from subnorms.operators import Fixture
-        bad = Fixture(fn=lambda x, y: np.asarray(x) * np.asarray(y) ** 2,
+        bad = Fixture(fn=lambda x, y, tol: np.asarray(x) * np.asarray(y) ** 2,
                       label="skewed")
         report = check_axioms(bad, GRID)
         assert not report.commutative.passed
@@ -179,6 +181,18 @@ class TestCompletionAndDual:
         X, Y = xs[:, None], xs[None, :]
         assert np.all(M.surface(X, Y) >= np.maximum(X, Y) - 1e-12)
 
+    def test_completion_and_dual_use_the_callers_tol(self):
+        # a bisecting operator answers to within inversion_tol, so the caller's
+        # coarse tolerance shows in S(0.5, 0.6) and must reach both wrappers
+        g = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        S = from_generator(numeric_inverse(g.fn, g.boundary_at_one, "rational/numeric"))
+        tol = ToleranceProfile(inversion_tol=1e-7)
+        at = S.surface(0.5, 0.6, tol)
+        assert at == pytest.approx(0.3157894409, abs=1e-10)
+        assert S.surface(0.5, 0.6) == pytest.approx(0.3157894737, abs=1e-10)
+        assert complete_to_tnorm(S).surface(0.5, 0.6, tol) == at
+        assert dual_superconorm(S).surface(0.5, 0.4, tol) == 1.0 - at
+
 
 class TestFixtures:
     def test_yager_nilpotent_power(self):
@@ -212,25 +226,33 @@ class TestFixtures:
 
 
 class TestParameterDomains:
-    @pytest.mark.parametrize("spec", [
-        FamilySpec("rational", {"a": 1.5}),
-        FamilySpec("rational", {}),
-        FamilySpec("dombi_sub", {"a": 0.6, "l": -1.0}),
-        FamilySpec("ss_sub", {"a": 0.5, "l": 2.0}),
-        FamilySpec("aa_sub", {"a": 2.0, "l": 1.0}),
-        FamilySpec("yager", {"l": 0.0}),
-        FamilySpec("nonexistent", {}),
-        FamilySpec("product", {"a": 3.0}),
-        FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0, "lam": 9.0}),
-        FamilySpec("lukasiewicz", {"l": 3.0}),
-        FamilySpec("yager", {"l": math.inf}),
-        FamilySpec("aa_tnorm", {"l": math.inf}),
-        FamilySpec("dombi_sub", {"a": 0.6, "l": math.inf}),
-        FamilySpec("ss_sub", {"a": 0.5, "l": -math.inf}),
-        FamilySpec("rational", {"a": math.nan}),
-    ])
-    def test_rejected(self, spec):
-        with pytest.raises(ParameterError):
+    # each rejected spec with its exact message
+    REJECTED = [
+        (FamilySpec("rational", {"a": 1.5}), "rational needs a in (0,1), got 1.5"),
+        (FamilySpec("rational", {}), "rational requires parameter 'a'"),
+        (FamilySpec("dombi_sub", {"a": 0.6, "l": -1.0}), "dombi_sub needs lambda > 0, got -1.0"),
+        (FamilySpec("ss_sub", {"a": 0.5, "l": 2.0}), "ss_sub needs lambda < 0, got 2.0"),
+        (FamilySpec("aa_sub", {"a": 2.0, "l": 1.0}), "aa_sub needs a in (0,1), got 2.0"),
+        (FamilySpec("yager", {"l": 0.0}), "yager needs lambda > 0, got 0.0"),
+        (FamilySpec("nonexistent", {}), "unknown family 'nonexistent'"),
+        (FamilySpec("product", {"a": 3.0}), "product has no parameter 'a'"),
+        (FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0, "lam": 9.0}),
+         "dombi_sub has no parameter 'lam'"),
+        (FamilySpec("lukasiewicz", {"l": 3.0}), "lukasiewicz has no parameter 'l'"),
+        (FamilySpec("yager", {"l": math.inf}), "yager parameter 'l' must be finite"),
+        (FamilySpec("aa_tnorm", {"l": math.inf}), "aa_tnorm parameter 'l' must be finite"),
+        (FamilySpec("dombi_sub", {"a": 0.6, "l": math.inf}),
+         "dombi_sub parameter 'l' must be finite"),
+        (FamilySpec("ss_sub", {"a": 0.5, "l": -math.inf}), "ss_sub parameter 'l' must be finite"),
+        (FamilySpec("rational", {"a": math.nan}), "rational parameter 'a' must be finite"),
+        (FamilySpec("rational", {"a": "x"}), "rational parameter 'a' must be a number, got 'x'"),
+        (FamilySpec("rational", {"a": None}), "rational parameter 'a' must be a number, got None"),
+    ]
+
+    @pytest.mark.parametrize("spec, message", REJECTED,
+                             ids=[f"spec{i}" for i in range(len(REJECTED))])
+    def test_rejected(self, spec, message):
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             make_family(spec)
 
     def test_family_names_cover_catalog(self):

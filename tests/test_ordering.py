@@ -69,7 +69,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "data" / "reference.
 
 
 def half_product_fixture():
-    return Fixture(fn=lambda x, y: np.asarray(x) * np.asarray(y) / 2.0,
+    return Fixture(fn=lambda x, y, tol: np.asarray(x) * np.asarray(y) / 2.0,
                    label="xy/2")
 
 
@@ -157,13 +157,13 @@ def full_matrix_oracle(S1, S2, pts, surface):
     return ComparisonVerdict(relation, wits, "direct_compare", m)
 
 
-ZERO = Fixture(fn=lambda x, y: np.zeros(np.broadcast(x, y).shape), label="0")
+ZERO = Fixture(fn=lambda x, y, tol: np.zeros(np.broadcast(x, y).shape), label="0")
 
 
 def banded(near, far):
     """A fixture that is ``near`` on 0.5 < x + y < 0.6, ``far`` on x + y > 1.5
     and 0 elsewhere: the near band comes first in row-major order."""
-    def fn(x, y):
+    def fn(x, y, tol):
         s = np.asarray(x, dtype=float) + np.asarray(y, dtype=float)
         return np.where((s > 0.5) & (s < 0.6), near, np.where(s > 1.5, far, 0.0))
     return Fixture(fn=fn, label=f"banded({near:g},{far:g})")
