@@ -26,6 +26,7 @@ from .ordering import (
     _midpoint,
     _monotone_scan,
     _profile,
+    _slack,
     direct_compare,
     dominated_or_equal,
     subadditivity_test,
@@ -203,8 +204,7 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
             "section4_monotone_profile", NOT_APPLICABLE,
             notes="phi not non-increasing and bounded")
 
-    h_concave, _ = _worst(_concavity_gap(hw, HU, HV),
-                          margin + 1e-9 * (np.abs(HU) + np.abs(HV)))
+    h_concave, _ = _worst(_concavity_gap(hw, HU, HV), _slack(margin, HU, HV))
     sup_phi = float(np.max(phi))
     if h_concave and sup_phi <= 1.0 + margin:
         A = A_est.value if math.isfinite(A_est.value) else 0.0

@@ -86,7 +86,8 @@ def _key_values(text: str, key_ok: Callable[[str], bool],
     """``key=val[,key=val]`` as {stripped key: float(val)}.
 
     An item without '=' or whose key fails ``key_ok`` raises SpecSyntaxError
-    with message ``bad_item(item)``; a non-numeric value raises it too.
+    with message ``bad_item(item)``; a repeated key or a non-numeric value
+    raises it too.
     """
     out: dict[str, float] = {}
     for item in text.split(","):
@@ -94,6 +95,8 @@ def _key_values(text: str, key_ok: Callable[[str], bool],
         key = key.strip()
         if not eq or not key_ok(key):
             raise SpecSyntaxError(bad_item(item))
+        if key in out:
+            raise SpecSyntaxError(f"repeated key {key!r} in {text!r}")
         try:
             out[key] = float(val)
         except ValueError:
@@ -111,16 +114,14 @@ def _check_criterion(name: str | None) -> None:
             f"unknown criterion {name!r}; known: {', '.join(CRITERION_NAMES)}")
 
 
-def cmd_eval(args) -> int:
-    tol = parse_tol(args.tol)
+def cmd_eval(args, tol: ToleranceProfile) -> int:
     S = _operator(args.operator, tol)
     value = evaluate(S, args.x, args.y, tol)
     print(f"{value:.12g}")
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    tol = parse_tol(args.tol)
+def cmd_compare(args, tol: ToleranceProfile) -> int:
     S1 = _operator(args.lhs, tol)
     S2 = _operator(args.rhs, tol)
     _check_criterion(args.criterion)
@@ -137,8 +138,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args) -> int:
-    tol = parse_tol(args.tol)
+def cmd_scan(args, tol: ToleranceProfile) -> int:
     spec = parse_operator_spec(args.family)
     try:
         lambdas = [float(v) for v in args.lambdas.split(",")]
@@ -160,8 +160,7 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def cmd_surface(args) -> int:
-    tol = parse_tol(args.tol)
+def cmd_surface(args, tol: ToleranceProfile) -> int:
     if args.resolution < 2:
         raise SpecSyntaxError("--resolution must be at least 2")
     S = _operator(args.operator, tol)
@@ -184,7 +183,8 @@ def cmd_surface(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify_paper(args) -> int:
+def cmd_verify_paper(args, tol: ToleranceProfile) -> int:
+    """The paper's checks run under the default profile; ``tol`` is only parsed."""
     ok = verify.run_all()
     return EXIT_OK if ok else EXIT_REGRESSION
 
@@ -240,7 +240,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, parse_tol(args.tol))
     except SpecSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

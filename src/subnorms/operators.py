@@ -201,18 +201,19 @@ def check_axioms(S: Operator, grid: IntervalGrid,
     right = S.surface(A, S.surface(B, C, tol), tol)
     assoc = _axiom(np.abs(left - right), m, A, B, C)
 
-    drop = -np.diff(vals, axis=1)  # positive entries are monotonicity violations
-    mono = _axiom(drop, m, X, Y[:, :-1]) if drop.size else AxiomCheck(True)
     bound = _axiom(vals - np.minimum(X, Y), m, X, Y)
 
-    # cancellativity <=> strict monotonicity in each variable (continuous case)
-    # (a one-point grid has no steps: passed, as for monotonicity)
-    inc = np.diff(vals, axis=1)
-    canc = AxiomCheck(True)
-    if inc.size:
-        *at, drop = _worst(-inc, 0.0, X, Y[:, :-1])[1]
-        flat = -drop < tol.inversion_tol
-        canc = AxiomCheck(not flat, -drop, tuple(at) if flat else None)
+    # one scan of the steps along y serves monotonicity (no step drops by more
+    # than the margin) and cancellativity, which for a continuous operator is
+    # strict monotonicity in each variable (every step rises by inversion_tol);
+    # a one-point grid has no steps and passes both
+    drop = -np.diff(vals, axis=1)
+    mono = canc = AxiomCheck(True)
+    if drop.size:
+        *at, worst = _worst(drop, 0.0, X, Y[:, :-1])[1]
+        mono = AxiomCheck(worst <= m, max(worst, 0.0), tuple(at))
+        flat = -worst < tol.inversion_tol
+        canc = AxiomCheck(not flat, -worst, tuple(at) if flat else None)
 
     return AxiomReport(comm, assoc, mono, bound, canc)
 

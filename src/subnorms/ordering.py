@@ -2,12 +2,13 @@
 
 A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
 decade points the criteria sample near 0; d = S1 - S2 is symmetric, so it
-scans one triangle of the grid in blocks of about ``SOLVER_CHUNK`` cells and
-holds O(n) memory for n points per axis, evaluating each operand's per-axis
-values once per call.  Every other test here is a criterion on the composed
-map h = s1 o s2^{-1}: subadditivity of h characterizes S1 <= S2 exactly
-(superadditivity S2 <= S1); linearity characterizes equality; concavity
-(with h(u) <= u*h(d)/d when d = s2(1) > 0) and ratio profile h(u)/u are
+scans one triangle of the grid in blocks of about ``SOLVER_CHUNK`` cells, keeps
+each block's extreme cells as candidates and holds O(n) memory for n points
+per axis, evaluating each operand's per-axis values once per call.  Every
+other test here is a criterion on the composed map h = s1 o s2^{-1}:
+subadditivity of h characterizes S1 <= S2 exactly (superadditivity
+S2 <= S1); linearity characterizes equality; concavity (with
+h(u) <= u*h(d)/d when d = s2(1) > 0) and ratio profile h(u)/u are
 sufficient certificates.  Four named criteria restate these in other
 coordinates and run the same test: the generator ratio s1/s2 is the profile at
 u = s2(x), the derivative ratio s1'/s2' is concavity of h, and
@@ -17,6 +18,7 @@ are subadditivity and linearity of h = s o t^{-1}.  Every named criterion is
 one row of a registry, which :func:`run_criterion` alone runs.  The public
 :func:`compare` samples h once for the equality and ratio certificates and one
 residual matrix of h for both directions, and records which path decided.
+It and the oracle build their (x, y, S1, S2) witnesses with one helper.
 """
 
 from __future__ import annotations
@@ -207,10 +209,11 @@ def serialize_report(r: CriterionReport) -> str:
 # the oracle
 
 
-def _improves(new: float, old: float, sign: float) -> bool:
-    """new replaces old as the running first max (sign 1) or min (sign -1):
-    strictly beyond it, or the first NaN, as np.max and np.argmax order them."""
-    return not np.isnan(old) and (np.isnan(new) or sign * new > sign * old)
+def _witnesses(S1: Operator, S2: Operator, X, Y,
+               tol: ToleranceProfile) -> list[tuple]:
+    """[(x, y, S1(x, y), S2(x, y)), ...] at the points of the arrays X, Y."""
+    return [tuple(map(float, w))
+            for w in zip(X, Y, S1.surface(X, Y, tol), S2.surface(X, Y, tol))]
 
 
 def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
@@ -219,9 +222,11 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
 
     d = S1 - S2 is combined from each operator's per-axis values, taken once,
     on the cells j >= i of the square grid, in blocks of rows of about
-    ``SOLVER_CHUNK`` cells, each reduced to its first max and min as it goes, so
-    memory is O(n) for n points per axis.  A skipped cell (i, j), j < i,
-    mirrors a scanned (j, i) earlier in row-major order, so the
+    ``SOLVER_CHUNK`` cells, each reduced to its first max and min cell as it
+    goes, so memory is O(n) for n points per axis.  ``np.argmax`` over the
+    block maxima (``np.argmin`` over the minima) then picks the first NaN, or
+    else the first extreme, as one full scan would.  A skipped cell (i, j),
+    j < i, mirrors a scanned (j, i) earlier in row-major order, so the
     witnesses are the cells a full scan's argmax, argmin and argmax |d| find.
     This needs d symmetric bit for bit: S(x, y) and S(y, x) must round the
     same, as s(x) + s(y) and commutative fixture expressions do.
@@ -229,38 +234,33 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     pts = np.concatenate([[0.0], grid.axis])
     n = pts.size
     v1, v2 = S1.values(pts), S2.values(pts)
-    ext = {}  # sign -> running first extreme (d, i, j): +1 max, -1 min
+    blocks = []  # per block: its first max and first min cell, each (d, i, j)
     r = 0
     while r < n:
         rows = max(1, SOLVER_CHUNK // (n - r))
         d = S1.combine(v1[r:r + rows, None], v1[None, r:], tol)
         d -= S2.combine(v2[r:r + rows, None], v2[None, r:], tol)
-        for sign, pick in ((1.0, np.argmax), (-1.0, np.argmin)):
-            i, j = divmod(int(pick(d)), n - r)
-            cell = (float(d[i, j]), r + i, r + j)
-            if sign not in ext or _improves(cell[0], ext[sign][0], sign):
-                ext[sign] = cell
+        blocks.append([(float(d.flat[k]), r + k // (n - r), r + k % (n - r))
+                       for k in (int(d.argmax()), int(d.argmin()))])
         r += rows
-    top, low = ext[1.0], ext[-1.0]
+    tops, lows = zip(*blocks)
+    top = tops[int(np.argmax([c[0] for c in tops]))]
+    low = lows[int(np.argmin([c[0] for c in lows]))]
     m = tol.verdict_margin
     hi, lo = top[0], low[0]
-
-    def witness(cell):
-        x, y = float(pts[cell[1]]), float(pts[cell[2]])
-        return (x, y, float(S1.surface(x, y, tol)), float(S2.surface(x, y, tol)))
-
     if hi <= m and lo >= -m:
         # argmax |d| is the larger extreme, the earlier cell on a tie
         relation = EQUAL
-        wits = [witness(min(top, low, key=lambda c: (-abs(c[0]), c[1:])))]
+        cells = [min(top, low, key=lambda c: (-abs(c[0]), c[1:]))]
     elif hi <= m:
-        relation, wits = DOMINATED, [witness(low)]
+        relation, cells = DOMINATED, [low]
     elif lo >= -m:
-        relation, wits = DOMINATES, [witness(top)]
+        relation, cells = DOMINATES, [top]
     else:
-        relation, wits = INCOMPARABLE, [witness(top), witness(low)]
-    return ComparisonVerdict(relation=relation, witnesses=wits,
-                             criterion="direct_compare", margin=m)
+        relation, cells = INCOMPARABLE, [top, low]
+    i, j = np.array([c[1:] for c in cells]).T
+    return ComparisonVerdict(relation, _witnesses(S1, S2, pts[i], pts[j], tol),
+                             "direct_compare", m)
 
 
 def dominated_or_equal(v: ComparisonVerdict) -> bool:
@@ -364,14 +364,14 @@ def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
 # guards
 
 
-def _power(op: Operator, x: float, n: int, tol: ToleranceProfile) -> float:
-    """x_op^{(n)}: the n-fold diagonal power."""
-    acc = x
-    for _ in range(n - 1):
+def _power(op: Operator, x: float, n: int, tol: ToleranceProfile) -> tuple[float, int]:
+    """(x_op^{(k)}, k): the k-fold diagonal power at k = n, or at the first k
+    where it is 0."""
+    acc, k = x, 1
+    while acc > 0.0 and k < n:
         acc = float(op.surface(x, acc, tol))
-        if acc == 0.0:
-            return 0.0
-    return acc
+        k += 1
+    return acc, k
 
 
 def nilpotent_guard(S: Operator, T_nilpotent: Fixture, grid: IntervalGrid,
@@ -384,13 +384,10 @@ def nilpotent_guard(S: Operator, T_nilpotent: Fixture, grid: IntervalGrid,
     for x in candidates:
         if not 0 < x < 1:
             continue
-        acc, n = x, 1
-        while acc > 0.0 and n < 500:
-            acc = float(T_nilpotent.surface(x, acc, tol))
-            n += 1
-        if acc > 0.0:
+        t_power, n = _power(T_nilpotent, x, 500, tol)
+        if t_power > 0.0:
             continue  # fixture never vanished here; try another point
-        s_power = _power(S, x, n, tol)
+        s_power = _power(S, x, n, tol)[0]
         if s_power > tol.verdict_margin:
             return CriterionReport(
                 "nilpotent_guard", FAILS, (x, float(n), s_power, 0.0),
@@ -572,12 +569,12 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
     (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)
     X, Y = ginvert(m.rhs, np.array([fwd[:2], rev[:2]]).T, tol)  # at (fwd, rev)
-    s1, s2 = S1.surface(X, Y, tol), S2.surface(X, Y, tol)
-    wits = [tuple(map(float, w)) for w in zip(X, Y, s1, s2)]
+    wits = _witnesses(S1, S2, X, Y, tol)
     relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),
                       (True, False): (DOMINATED, [0]), (False, True): (DOMINATES, [1]),
                       (False, False): (INCOMPARABLE, [0, 1])}[below, above]
-    if (not below and s1[0] <= s2[0]) or (not above and s2[1] <= s1[1]):
+    (*_, s1f, s2f), (*_, s1r, s2r) = wits
+    if (not below and s1f <= s2f) or (not above and s2r <= s1r):
         relation = UNKNOWN
     return ComparisonVerdict(relation, [wits[k] for k in keep],
                              "subadditivity_test", margin)

@@ -334,14 +334,14 @@ CHECKS = [
 ]
 
 
-def run_all(printer=print) -> bool:
+def run_all() -> bool:
     """Run every check, print one pass/fail line each; True iff all pass."""
     ok = True
     for name, fn in CHECKS:
         try:
             detail = fn()
-            printer(f"PASS {name}: {detail}")
+            print(f"PASS {name}: {detail}")
         except CheckFailure as exc:
             ok = False
-            printer(f"FAIL {name}: {exc}")
+            print(f"FAIL {name}: {exc}")
     return ok

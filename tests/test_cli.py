@@ -56,6 +56,21 @@ class TestSpecGrammar:
         assert main(["--tol", text, "compare", "product", "hamacher0"]) == EXIT_PARSE
         assert "fields: inversion_tol, verdict_margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "rational:a=0.5,a=0.7", "0.5", "0.5"],
+        ["--tol", "verdict_margin=1e-4,verdict_margin=1e-5", "compare", "product",
+         "hamacher0"],
+    ])
+    def test_repeated_key_is_a_parse_error(self, argv, capsys):
+        assert main(argv) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and "repeated key" in err
+
+    def test_bad_tol_is_a_parse_error_for_verify_paper(self, capsys):
+        assert main(["--tol", "garbage", "verify-paper"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and "bad tolerance override 'garbage'" in err
+
     def test_infinite_tolerance_is_a_domain_error(self, capsys):
         # an infinite margin would call every pair equal
         with pytest.raises(ParameterError, match="verdict_margin must be finite"):

@@ -297,9 +297,10 @@ class TestValidation:
         validate_generator(member("rational", a=0.5))
 
     def test_increasing_rule_rejected(self):
-        g = closed_form(lambda x: np.asarray(x, dtype=float),
-                        lambda u: u, 1.0, "increasing")
-        with pytest.raises(GeneratorValidationError):
+        # infinite at 0, but it turns upward past its minimum at x = 0.5
+        g = numeric_inverse(lambda x: 1.0 / x + 4.0 * x, 5.0, "dip")
+        with pytest.raises(GeneratorValidationError,
+                           match="not strictly decreasing near x = 0.5$"):
             validate_generator(g)
 
     def test_wrong_boundary_rejected(self):
@@ -339,10 +340,18 @@ class TestValidation:
 
         def fn(x):
             x = np.asarray(x, dtype=float)
-            return np.where(x <= cut, 10.0 - x, 1.0 - x)
+            return np.where(x <= cut, 10.0 / x, 1.0 / x)
 
-        g = numeric_inverse(fn, 0.0, "step")
-        with pytest.raises(GeneratorValidationError):
+        g = numeric_inverse(fn, 1.0, "step")
+        with pytest.raises(GeneratorValidationError,
+                           match="discontinuity suspected near x = 0.475$"):
+            validate_generator(g)
+
+    def test_wrong_inverse_fails_round_trip(self):
+        # Hamacher's generator (1 - x)/x paired with an inverse that is not its own
+        g = closed_form(lambda x: (1.0 - x) / x, lambda u: 2.0 / (1.0 + u), 0.0,
+                        "wrong_inverse")
+        with pytest.raises(GeneratorValidationError, match="inversion round trip failed"):
             validate_generator(g)
 
 
