@@ -184,7 +184,10 @@ def cmd_surface(args, tol: ToleranceProfile) -> int:
 
 
 def cmd_verify_paper(args, tol: ToleranceProfile) -> int:
-    """The paper's checks run under the default profile; ``tol`` is only parsed."""
+    """The paper's checks run under the default profile, so a --tol is refused."""
+    if args.tol is not None:
+        raise SpecSyntaxError("verify-paper runs the paper's checks at the default "
+                              "profile and takes no --tol")
     ok = verify.run_all()
     return EXIT_OK if ok else EXIT_REGRESSION
 

@@ -37,9 +37,20 @@ class GeneratorValidationError(ValueError):
     """A sampled generator invariant (decrease, continuity, endpoints) failed."""
 
 
+EPSILON_FLOOR = 1e-6  # smallest sample abscissa: the first decade point
+
+
 @dataclass(frozen=True)
 class ToleranceProfile:
-    """Numeric tolerances shared across the library."""
+    """Numeric tolerances shared across the library.
+
+    ``verdict_margin`` bounds a difference of S for the grid oracle, and a
+    residual of h = s1 o s2^{-1} (plus the relative allowance of
+    ``ordering._slack``) for the criteria.  Both sample only x >= EPSILON_FLOOR;
+    below it S <= min(x, y) < EPSILON_FLOOR, so a margin of at least
+    EPSILON_FLOOR covers every difference they do not sample, and a smaller
+    one is rejected.
+    """
 
     inversion_tol: float = 1e-12
     verdict_margin: float = 1e-6
@@ -48,6 +59,9 @@ class ToleranceProfile:
         for name in ("inversion_tol", "verdict_margin"):
             if not 0 < getattr(self, name) < INF:  # NaN fails
                 raise ParameterError(f"{name} must be finite and strictly positive")
+        if not self.verdict_margin >= EPSILON_FLOOR:
+            raise ParameterError(
+                f"verdict_margin must be at least {EPSILON_FLOOR:g}, the smallest sampled x")
         if not self.inversion_tol >= 4 * np.finfo(float).eps:  # the solver's floor
             raise ParameterError("inversion_tol must be at least 8.9e-16 (4 ulps of 1)")
         if not self.inversion_tol < self.verdict_margin:
@@ -55,7 +69,6 @@ class ToleranceProfile:
 
 
 DEFAULT_TOL = ToleranceProfile()
-EPSILON_FLOOR = 1e-6  # smallest sample abscissa: the first decade point
 _ABS_EVAL_TOL = 1e-9  # relative agreement of s(1) with the declared boundary
 
 
@@ -360,12 +373,12 @@ def validate_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> Non
         at0 = np.asarray(g.fn(np.zeros(1)), dtype=float)
     if not np.all((at0 == INF) | np.isnan(at0)):  # NaN reads inf, as in geval
         raise GeneratorValidationError(f"{g.label}: s(0) must be inf")
-    v1 = geval(g, 1.0)
+    xs = np.append(EPSILON_FLOOR, pts)  # ends at x = 1
+    vals = geval(g, xs)
+    v1 = float(vals[-1])
     if abs(v1 - g.boundary_at_one) > _ABS_EVAL_TOL * max(1.0, abs(v1)):
         raise GeneratorValidationError(
             f"{g.label}: s(1) = {v1} disagrees with declared {g.boundary_at_one}")
-    xs = np.append(EPSILON_FLOOR, pts)
-    vals = geval(g, xs)
     if not np.all(np.isfinite(vals)):
         i = int(np.argmin(np.isfinite(vals)))
         raise GeneratorValidationError(
@@ -375,8 +388,7 @@ def validate_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> Non
         raise GeneratorValidationError(
             f"{g.label}: not strictly decreasing near x = {xs[i]:.6g}")
     # sampled continuity: a 1e-6 step must move the value by a tiny fraction
-    interior = pts[(pts > 2 * EPSILON_FLOOR) & (pts < 1)]
-    base = geval(g, interior)
+    interior, base = xs[1:-1], vals[1:-1]  # the grid points above 2e-6 and below 1
     jump = np.abs(geval(g, interior + EPSILON_FLOOR) - base)
     if np.any(jump > 1e-2 * np.maximum(1.0, np.abs(base))):
         worst = interior[int(np.argmax(jump))]

@@ -23,12 +23,14 @@ import numpy as np
 
 from .generators import (
     DEFAULT_TOL,
+    INF,
     SOLVER_CHUNK,
     DomainError,
     Generator,
     IntervalGrid,
     ParameterError,
     ToleranceProfile,
+    _bracket_invert,
     closed_form,
     geval,
     pseudo_invert,
@@ -40,7 +42,8 @@ LN2 = math.log(2.0)
 
 class Operator:
     """The protocol: subclasses give per-axis ``values``, ``combine`` them into S,
-    and evaluate ``surface(x, y)`` as ``combine(values(x), values(y))``."""
+    and evaluate ``surface(x, y)`` as ``combine(values(x), values(y))`` (a
+    ``TSubnorm`` takes a point through a float kernel of the same value)."""
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
@@ -56,8 +59,41 @@ class TSubnorm(Operator):
     generator: Generator
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        """Vectorized evaluation without per-element domain checks."""
-        return self.combine(self.values(x), self.values(y), tol)
+        """S(x, y), checking only that the arguments lie in [0, 1] (the
+        DomainError of ``geval``).  Two 0-d arguments (Python or numpy scalars,
+        0-d arrays) are a point and give a float; any other input gives the
+        array ``combine(values(x), values(y))``.
+
+        A point runs one float kernel: s once on the 2-element array [x, y],
+        then ``geval``'s rule (x = 0 or a NaN value gives inf), u = s(x) + s(y),
+        ``pseudo_invert``'s rule (1 at or below s(1)), and s^{-1} once on [u]
+        with ``ginvert``'s rules (inf and NaN give 0, clip to [0, 1]).  Its
+        value is bit-identical to ``combine`` on 1-element arrays; numpy's 0-d
+        loops may round differently, so s and s^{-1} still see arrays.
+        """
+        xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if xa.ndim or ya.ndim:
+            return self.combine(self.values(x), self.values(y), tol)
+        fx, fy = float(xa), float(ya)
+        if not 0.0 <= fx <= 1.0:  # NaN fails
+            raise DomainError(f"argument {x!r} outside [0, 1]")
+        if not 0.0 <= fy <= 1.0:
+            raise DomainError(f"argument {y!r} outside [0, 1]")
+        g, b = self.generator, self.generator.boundary_at_one
+        with np.errstate(all="ignore"):
+            sx, sy = np.asarray(g.fn(np.array([fx, fy])), dtype=float).tolist()
+            # geval: x = 0 or a NaN value gives inf
+            u = (INF if fx == 0.0 or sx != sx else sx) + (INF if fy == 0.0 or sy != sy else sy)
+            if b < u < INF and g.inverse_fn is not None:
+                v = float(np.asarray(g.inverse_fn(np.array([u])), dtype=float)[0])
+                return min(v, 1.0) if v > 0.0 else 0.0  # ginvert: NaN gives 0, clip
+        if u != u:  # inf + -inf
+            raise DomainError("cannot pseudo-invert NaN")
+        if u <= b:  # pseudo_invert: 1 at or below s(1)
+            return 1.0
+        if u == INF:  # ginvert: inf gives 0
+            return 0.0
+        return float(_bracket_invert(g, np.array([u]), tol)[0])
 
     def values(self, x):
         return geval(self.generator, x)
@@ -67,8 +103,6 @@ class TSubnorm(Operator):
         SOLVER_CHUNK points are summed into one reused buffer and inverted into
         the result; a lone block is inverted in the buffer itself."""
         shape = np.broadcast_shapes(np.shape(vx), np.shape(vy))
-        if not shape:
-            return pseudo_invert(self.generator, np.add(vx, vy), tol)
         n, rows = shape[0], max(1, SOLVER_CHUNK // max(1, math.prod(shape[1:])))
         buf = np.empty((min(rows, n),) + shape[1:])
         if rows >= n:
@@ -123,15 +157,22 @@ def from_generator(g: Generator, tol: ToleranceProfile = DEFAULT_TOL) -> TSubnor
 
 
 def evaluate(S: Operator, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-    """S(x, y) with domain checks; 0 whenever either argument is 0."""
+    """S(x, y) with domain checks; 0 whenever either argument is 0.  Two 0-d
+    arguments are a point and give a float; other inputs give an array."""
     xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if not (xa.ndim or ya.ndim):
+        fx, fy = float(xa), float(ya)
+        if fx != fx or fy != fy:
+            raise DomainError("NaN argument")
+        if not (0.0 <= fx <= 1.0 and 0.0 <= fy <= 1.0):
+            raise DomainError("arguments outside the unit square")
+        return float(S.surface(xa, ya, tol))
     low = np.minimum(xa.min(initial=0.0), ya.min(initial=0.0))  # NaN if any is
     if np.isnan(low):
         raise DomainError("NaN argument")
     if low < 0 or max(xa.max(initial=1.0), ya.max(initial=1.0)) > 1:
         raise DomainError("arguments outside the unit square")
-    out = np.asarray(S.surface(xa, ya, tol))
-    return float(out) if out.ndim == 0 else out
+    return np.asarray(S.surface(xa, ya, tol))
 
 
 # ---------------------------------------------------------------------------

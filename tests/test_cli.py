@@ -71,6 +71,19 @@ class TestSpecGrammar:
         out, err = capsys.readouterr()
         assert out == "" and "bad tolerance override 'garbage'" in err
 
+    @pytest.mark.parametrize("text", ["verdict_margin=1e-4", "inversion_tol=1e-10", ""])
+    def test_verify_paper_refuses_a_tol(self, text, capsys):
+        # no paper check reads the profile, so an override would be ignored
+        assert main(["--tol", text, "verify-paper"]) == EXIT_PARSE
+        out, err = capsys.readouterr()
+        assert out == "" and "at the default profile" in err
+
+    def test_margin_below_the_sampled_box_is_a_domain_error(self, capsys):
+        assert main(["--tol", "verdict_margin=1e-9", "compare", "product",
+                     "hamacher0"]) == EXIT_DOMAIN
+        out, err = capsys.readouterr()
+        assert out == "" and "verdict_margin must be at least 1e-06" in err
+
     def test_infinite_tolerance_is_a_domain_error(self, capsys):
         # an infinite margin would call every pair equal
         with pytest.raises(ParameterError, match="verdict_margin must be finite"):

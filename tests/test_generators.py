@@ -411,6 +411,12 @@ class TestGridAndTolerances:
         assert [f.name for f in dataclasses.fields(ToleranceProfile)] == [
             "inversion_tol", "verdict_margin"]
 
+    def test_margin_below_the_sampled_box_rejected(self):
+        # the oracle and the criteria sample x >= 1e-6 only
+        with pytest.raises(ParameterError, match="verdict_margin must be at least 1e-06"):
+            ToleranceProfile(verdict_margin=float(np.nextafter(1e-6, 0.0)))
+        assert ToleranceProfile(verdict_margin=1e-6) == DEFAULT_TOL
+
     @pytest.mark.parametrize("value", [1e-16, 1e-300, 3 * np.finfo(float).eps])
     def test_inversion_tol_below_float_spacing_rejected(self, value):
         # the solver's bracket cannot close below a few ulps of 1

@@ -338,6 +338,50 @@ class TestSurfaceKernel:
 
     MEMBERS = catalog() + numeric_twins()
     IDS = [S.label for S in MEMBERS]
+    EDGE = [0.0, 5e-324, 1e-300, 1e-200, 1e-12, 1e-6, 0.3, 0.5,
+            float(np.nextafter(1.0, 0.0)), 1.0]
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=IDS)
+    def test_point_kernel_matches_array_path(self, S):
+        # the point kernel restates geval's, pseudo_invert's and ginvert's rules
+        # (x = 0 and NaN give inf, 1 at or below s(1), clip to [0, 1]) in float
+        # form; this keeps the two copies together
+        g = S.generator
+        for x in self.EDGE:
+            for y in self.EDGE:
+                want = pseudo_invert(g, geval(g, np.array([x])) + geval(g, np.array([y])))
+                want = float(want[0]).hex()
+                assert S.surface(x, y).hex() == want, (x, y)
+                assert evaluate(S, x, y).hex() == want, (x, y)
+
+    @pytest.mark.parametrize("S", [MEMBERS[5], MEMBERS[18]], ids=["closed", "numeric"])
+    @pytest.mark.parametrize("x, y", [(1, 0), (0.3, 1), (np.float64(0.3), np.float64(0.5)),
+                                      (np.array(0.3), np.array(0.5))],
+                             ids=["int", "int_y", "float64", "0d_array"])
+    def test_point_arguments_give_a_float(self, S, x, y):
+        assert type(S.surface(x, y)) is float
+        assert type(evaluate(S, x, y)) is float
+        assert type(S(x, y)) is float
+
+    @pytest.mark.parametrize("S", [MEMBERS[5], MEMBERS[18]], ids=["closed", "numeric"])
+    @pytest.mark.parametrize("x, y, via_evaluate, via_surface", [
+        (math.nan, 0.5, "NaN argument", "argument nan outside [0, 1]"),
+        (0.5, math.nan, "NaN argument", "argument nan outside [0, 1]"),
+        (2.0, math.nan, "NaN argument", "argument 2.0 outside [0, 1]"),
+        (1.5, 0.5, "arguments outside the unit square", "argument 1.5 outside [0, 1]"),
+        (0.5, -0.1, "arguments outside the unit square", "argument -0.1 outside [0, 1]"),
+        (np.float64(1.5), 0.5, "arguments outside the unit square",
+         "argument np.float64(1.5) outside [0, 1]"),
+        (np.array(-1.0), 0.5, "arguments outside the unit square",
+         "argument array(-1.) outside [0, 1]"),
+    ])
+    def test_point_domain_errors(self, S, x, y, via_evaluate, via_surface):
+        with pytest.raises(DomainError) as exc:
+            evaluate(S, x, y)
+        assert str(exc.value) == via_evaluate
+        with pytest.raises(DomainError) as exc:
+            S.surface(x, y)
+        assert str(exc.value) == via_surface
 
     @pytest.mark.parametrize("S", MEMBERS, ids=IDS)
     def test_matches_unblocked_definition(self, S):

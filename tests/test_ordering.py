@@ -280,6 +280,29 @@ class TestSubadditivity:
                     (S1.label, S2.label)
 
 
+class TestMarginFloor:
+    """s1 = f o s2 for s2(x) = 2/x - 1 and a convex f that leaves u <= 1e7 alone:
+    the surfaces differ only where s2(x) + s2(y) > 1e7, so min(x, y) < 4e-7,
+    in the strip the grid does not sample.  At a margin of 1e-9 both compare
+    and the oracle called the pair equal, although S1 - S2 is 24 margins at
+    x = y = 2e-7."""
+
+    @staticmethod
+    def pair():
+        s1, s2 = verify._over_rational(
+            lambda u: np.where(u <= 1e7, u, u + (u - 1e7) ** 2 / 1e7), "convex_tail")
+        return from_generator(s1), from_generator(s2)
+
+    def test_equal_at_the_default_margin_and_no_finer_margin(self):
+        S1, S2 = self.pair()
+        gap = S1(2e-7, 2e-7) - S2(2e-7, 2e-7)
+        assert 1e-9 < gap < DEFAULT_TOL.verdict_margin
+        assert compare(S1, S2, GRID).relation == EQUAL
+        assert direct_compare(S1, S2, GRID).relation == EQUAL
+        with pytest.raises(ParameterError, match="verdict_margin must be at least"):
+            ToleranceProfile(verdict_margin=1e-9)
+
+
 class TestEquality:
     def test_linear_map_detected(self):
         g = make_family(FamilySpec("product")).generator
