@@ -138,6 +138,8 @@ class Generator:
     inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
     family: str | None = None
     params: tuple = ()
+    # eps -> the solver's bracket table (see _table), filled on first use
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary_at_one < 0 or not math.isfinite(self.boundary_at_one):
@@ -190,11 +192,39 @@ def _bracket_table(eps: float) -> np.ndarray:
     return nodes
 
 
+def _table(g: Generator, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only bracket table (nodes, vals = s(nodes), -vals) of ``g`` for
+    eps, built on first use and kept on the generator; vals has the sentinels
+    inf at node 0 and -inf at the outer node 1."""
+    table = g._tables.get(eps)
+    if table is None:
+        nodes = _bracket_table(eps)
+        vals = np.concatenate([[INF], geval(g, nodes[1:-1]), [-INF]])
+        neg = -vals
+        vals.setflags(write=False)
+        neg.setflags(write=False)
+        table = g._tables[eps] = (nodes, vals, neg)
+    return table
+
+
+def _secant(a, b, fa, fb):
+    """The regula falsi point (a*fb - b*fa) / (fb - fa): in place on arrays, on
+    floats it rebinds.  Where fb = fa a float divides as numpy does (inf or NaN)."""
+    x = a * fb
+    x -= b * fa
+    d = fb - fa
+    if isinstance(x, float) and not d:  # Python raises ZeroDivisionError
+        x = np.float64(x)  # _invert_point runs under np.errstate(all="ignore")
+    x /= d
+    return x
+
+
 def _bracket_invert(g: Generator, u: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
     """x with |x - s^{-1}(u)| <= inversion_tol / 2, for finite u >= s(1).
 
-    Bracket, then polish.  One evaluation of s on a fixed table of nodes
-    brackets every target with ``searchsorted``; a target above s(2*eps)
+    Bracket, then polish.  s is evaluated on a fixed table of nodes once per
+    generator and tolerance (the table is kept on the generator), and
+    ``searchsorted`` brackets every target in it; a target above s(2*eps)
     returns eps and one equal to a table value returns its node
     (eps = inversion_tol / 2).  Every other bracket [a, b], s(a) > u >= s(b),
     is narrowed by Illinois (modified regula falsi) steps until
@@ -203,21 +233,22 @@ def _bracket_invert(g: Generator, u: np.ndarray, tol: ToleranceProfile) -> np.nd
     next step; where s(a) is inf (an overflow) the step is a midpoint.  After
     ``_ILLINOIS_STEPS`` steps every other step bisects, which bounds the worst
     case.  A closed bracket stays as it is, so a result depends on its target
-    alone.  Targets are polished in chunks of ``SOLVER_CHUNK``.
+    alone.  Targets are polished in chunks of ``SOLVER_CHUNK``; one float
+    target is solved by :func:`_invert_point`, with the same result.
     """
     eps = 0.5 * tol.inversion_tol
-    nodes = _bracket_table(eps)
-    vals = np.concatenate([[INF], geval(g, nodes[1:-1]), [-INF]])
+    table = _table(g, eps)
     out = np.empty_like(u)
     for lo in range(0, u.size, SOLVER_CHUNK):
-        out[lo:lo + SOLVER_CHUNK] = _polish(g, u[lo:lo + SOLVER_CHUNK], nodes, vals, eps)
+        out[lo:lo + SOLVER_CHUNK] = _polish(g, u[lo:lo + SOLVER_CHUNK], table, eps)
     return out
 
 
-def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
-            eps: float) -> np.ndarray:
-    """Bracket ``u`` in the table (nodes, vals = s(nodes)), then close every bracket."""
-    j = np.searchsorted(-vals, -u)  # vals[j-1] > u >= vals[j]
+def _polish(g: Generator, u: np.ndarray, table: tuple, eps: float) -> np.ndarray:
+    """Bracket ``u`` in the table (nodes, vals = s(nodes), -vals), then close
+    every bracket."""
+    nodes, vals, neg = table
+    j = np.searchsorted(neg, -u)  # vals[j-1] > u >= vals[j]
     a, b = nodes[j - 1], nodes[j]
     fa, fb = vals[j - 1] - u, vals[j] - u  # fa > 0 (maybe inf) >= fb
     np.copyto(a, b, where=fb == 0)  # u on a table value: done at its node
@@ -240,9 +271,7 @@ def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
                 x = a + b
                 x *= 0.5
             else:
-                x = a * fb
-                x -= b * fa
-                x /= fb - fa
+                x = _secant(a, b, fa, fb)
                 nan = np.isnan(x)  # inf / inf where s(a) = inf: bisect
                 if nan.any():
                     x[nan] = 0.5 * (a[nan] + b[nan])
@@ -264,6 +293,53 @@ def _polish(g: Generator, u: np.ndarray, nodes: np.ndarray, vals: np.ndarray,
             step += 1
     out[idx] = 0.5 * (a + b)
     return out
+
+
+def _invert_point(g: Generator, u: float, tol: ToleranceProfile) -> float:
+    """:func:`_bracket_invert` on one float target, in float steps.
+
+    The same table, bracket and steps as ``_polish``; s is evaluated on a
+    1-element array (numpy's 0-d loops may round differently) with ``geval``'s
+    NaN rule, and Python's float arithmetic rounds as numpy's element-wise
+    loops do, so the result is bit-identical to the array solver's.
+    """
+    eps = 0.5 * tol.inversion_tol
+    nodes, vals, neg = _table(g, eps)
+    j = int(neg.searchsorted(-u))  # vals[j-1] > u >= vals[j]
+    a, b = float(nodes[j - 1]), float(nodes[j])
+    fa, fb = float(vals[j - 1]) - u, float(vals[j]) - u
+    if fb == 0:  # u on a table value: done at its node
+        a = b
+    moved_a = False
+    step = 0
+    with np.errstate(all="ignore"):
+        while b - a > 2 * eps:
+            if step >= _ILLINOIS_STEPS and step % 2:
+                x = (a + b) * 0.5
+            else:
+                x = float(_secant(a, b, fa, fb))
+                if x != x:  # inf / inf where s(a) = inf: bisect
+                    x = 0.5 * (a + b)
+            lo, hi = a + eps, b - eps  # np.maximum, then np.minimum
+            if x < lo:
+                x = lo
+            if x > hi:
+                x = hi
+            fx = float(np.asarray(g.fn(np.array([x])), dtype=float)[0])
+            fx = (INF if fx != fx else fx) - u  # geval: a NaN value gives inf
+            high = fx > 0  # s(x) > u: the root is right of x
+            if high:
+                a, fa = x, fx
+            else:
+                b, fb = x, fx
+            if step:  # Illinois: halve the value at an end kept twice in a row
+                if high and moved_a:
+                    fb *= 0.5
+                elif not high and not moved_a:
+                    fa *= 0.5
+            moved_a = high
+            step += 1
+    return 0.5 * (a + b)
 
 
 def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
@@ -410,8 +486,11 @@ def closed_form(fn, inverse_fn, boundary_at_one, label, family=None, params=()):
 def numeric_inverse(fn, boundary_at_one, label, family=None, params=()):
     """Generator with no closed inverse; :func:`ginvert` solves s(x) = u.
 
-    The solver brackets each target on a fixed table of s values, then
-    polishes with safeguarded Illinois steps to within inversion_tol / 2.
+    The solver brackets each target on a fixed table of s values, evaluated
+    once per generator and tolerance and kept on the generator, then polishes
+    with safeguarded Illinois steps to within inversion_tol / 2.  A point
+    query S(x, y) solves its one target in float steps, bit-identical to the
+    array solver.
     """
     return Generator(fn=fn, inverse_fn=None, boundary_at_one=boundary_at_one,
                      label=label, family=family, params=tuple(params))

@@ -30,7 +30,7 @@ from .generators import (
     IntervalGrid,
     ParameterError,
     ToleranceProfile,
-    _bracket_invert,
+    _invert_point,
     closed_form,
     geval,
     pseudo_invert,
@@ -67,9 +67,12 @@ class TSubnorm(Operator):
         A point runs one float kernel: s once on the 2-element array [x, y],
         then ``geval``'s rule (x = 0 or a NaN value gives inf), u = s(x) + s(y),
         ``pseudo_invert``'s rule (1 at or below s(1)), and s^{-1} once on [u]
-        with ``ginvert``'s rules (inf and NaN give 0, clip to [0, 1]).  Its
-        value is bit-identical to ``combine`` on 1-element arrays; numpy's 0-d
-        loops may round differently, so s and s^{-1} still see arrays.
+        with ``ginvert``'s rules (inf and NaN give 0, clip to [0, 1]).  Without
+        a closed s^{-1}, u is solved in float steps on the generator's bracket
+        table, which is evaluated once per generator and tolerance
+        (``generators._invert_point``).  Its value is bit-identical to
+        ``combine`` on 1-element arrays; numpy's 0-d loops may round
+        differently, so s and s^{-1} still see arrays.
         """
         xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if xa.ndim or ya.ndim:
@@ -93,7 +96,7 @@ class TSubnorm(Operator):
             return 1.0
         if u == INF:  # ginvert: inf gives 0
             return 0.0
-        return float(_bracket_invert(g, np.array([u]), tol)[0])
+        return _invert_point(g, u, tol)
 
     def values(self, x):
         return geval(self.generator, x)

@@ -29,7 +29,8 @@ from subnorms import (
     pseudo_invert,
     validate_generator,
 )
-from subnorms.operators import FamilySpec, catalog, family_generator
+from subnorms.generators import _bracket_invert, _invert_point, _secant
+from subnorms.operators import FamilySpec, TSubnorm, catalog, family_generator
 
 
 def member(family, **params):
@@ -261,6 +262,90 @@ class TestNumericInversion:
         p = numeric_inverse(member("product").fn, 0.0, "p")
         np.testing.assert_allclose(ginvert(p, [0.7, 2.0], tol), np.exp([-0.7, -2.0]),
                                    rtol=0, atol=tol.inversion_tol)
+
+    def assert_point_solver_agrees(self, g, us, tol=DEFAULT_TOL):
+        # the float solver of one target against the array solver, bit for bit
+        for u in us:
+            want = float(_bracket_invert(g, np.array([u]), tol)[0]).hex()
+            assert _invert_point(g, float(u), tol).hex() == want, (g.label, u)
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS, ids=lambda g: g.label)
+    def test_point_solver_matches_array_solver(self, g):
+        s1, twin = g.boundary_at_one, numeric_twin(g)
+        # a subsample of test_log_and_uniform_targets, with targets just above s(1)
+        xs = np.concatenate([np.geomspace(1e-12, 1.0, 25), np.linspace(0.0, 1.0, 26)[1:]])
+        just_above = s1 + max(1.0, s1) * np.array([1e-15, 1e-12, 1e-9, 1e-6])
+        self.assert_point_solver_agrees(twin, np.concatenate([geval(g, xs), just_above]))
+        # dyadic table nodes close at their node (fb == 0)
+        nodes = np.arange(1, 257, 15) / 256.0
+        self.assert_point_solver_agrees(twin, geval(g, nodes))
+        assert [_invert_point(twin, u, DEFAULT_TOL) for u in geval(g, nodes).tolist()] \
+            == nodes.tolist()
+        # roots below twice the tolerance, and the finest accepted tolerance
+        self.assert_point_solver_agrees(twin, geval(g, np.array([1e-14, 1e-13, 4e-13, 9e-13])))
+        floor = ToleranceProfile(inversion_tol=4 * np.finfo(float).eps)
+        self.assert_point_solver_agrees(twin, geval(g, xs[::3]), floor)
+
+    def test_point_solver_on_overflow(self):
+        # s(a) = inf on the lowest brackets: the secant is NaN and the step a midpoint
+        g = numeric_inverse(lambda x: np.exp(1.0 / x) - math.e, 0.0, "steep")
+        us = [1e-3, 10.0, 1e100, 1e298, 1e300, 1.7e308]
+        self.assert_point_solver_agrees(g, us)
+        self.assert_point_solver_agrees(g, us, ToleranceProfile(inversion_tol=4 * np.finfo(float).eps))
+
+    @pytest.mark.parametrize("a, b, fa, fb", [(0.25, 0.5, 1.0, 1.0), (0.25, 0.5, 0.0, 0.0),
+                                              (0.25, 0.5, -1.0, -1.0), (0.25, 0.5, 3.0, -1.0)])
+    def test_point_secant_divides_as_numpy_does(self, a, b, fa, fb):
+        # fb = fa raises ZeroDivisionError in Python; the float step gives inf or NaN
+        with np.errstate(all="ignore"):
+            want = _secant(*(np.array([v]) for v in (a, b, fa, fb)))[0]
+            got = _secant(a, b, fa, fb)
+        assert float(got).hex() == float(want).hex()
+
+
+class TestBracketTableCache:
+    """The bracket table is evaluated once per generator and tolerance."""
+
+    def counted_twin(self):
+        g, sizes = member("rational", a=0.5), []
+
+        def counted(x):
+            sizes.append(np.size(x))
+            return g.fn(x)
+
+        return numeric_twin(g, counted), sizes
+
+    def test_second_point_query_evaluates_no_table(self):
+        twin, sizes = self.counted_twin()
+        S = TSubnorm(twin)
+        first = S(0.3, 0.6)
+        assert max(sizes) > 256  # the table
+        sizes.clear()
+        assert S(0.3, 0.6) == first
+        assert sizes[0] == 2 and len(sizes) > 1 and set(sizes[1:]) == {1}  # s(x), s(y), polish
+
+    def test_cached_arrays_are_read_only(self):
+        twin, _ = self.counted_twin()
+        ginvert(twin, 3.0)
+        (table,) = twin._tables.values()
+        assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in table)
+
+    def test_tables_are_kept_per_tolerance(self):
+        fine = ToleranceProfile(inversion_tol=1e-9)
+        twin, _ = self.counted_twin()
+        fresh, _ = self.counted_twin()
+        S = TSubnorm(twin)
+        S(0.3, 0.6)
+        assert S.surface(0.3, 0.6, fine).hex() == TSubnorm(fresh).surface(0.3, 0.6, fine).hex()
+        assert len(twin._tables) == 2
+
+    def test_replace_starts_empty_and_equality_ignores_the_cache(self):
+        twin, _ = self.counted_twin()
+        other = dataclasses.replace(twin)
+        ginvert(twin, 3.0)
+        assert twin._tables and not other._tables
+        assert twin == other and hash(twin) == hash(other)
+        assert not dataclasses.replace(twin, fn=member("product").fn)._tables
 
 
 class TestNormalization:

@@ -26,7 +26,7 @@ from subnorms import (
     numeric_inverse,
     yager_fixture,
 )
-from subnorms.generators import SOLVER_CHUNK, geval, ginvert, pseudo_invert
+from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK, geval, ginvert, pseudo_invert
 from subnorms.operators import FAMILY_NAMES
 
 GRID = IntervalGrid.uniform(21)
@@ -341,18 +341,26 @@ class TestSurfaceKernel:
     EDGE = [0.0, 5e-324, 1e-300, 1e-200, 1e-12, 1e-6, 0.3, 0.5,
             float(np.nextafter(1.0, 0.0)), 1.0]
 
+    def assert_point_kernel_matches(self, S, tol):
+        g = S.generator
+        for x in self.EDGE:
+            for y in self.EDGE:
+                want = pseudo_invert(g, geval(g, np.array([x])) + geval(g, np.array([y])), tol)
+                want = float(want[0]).hex()
+                assert S.surface(x, y, tol).hex() == want, (x, y)
+                assert evaluate(S, x, y, tol).hex() == want, (x, y)
+
     @pytest.mark.parametrize("S", MEMBERS, ids=IDS)
     def test_point_kernel_matches_array_path(self, S):
         # the point kernel restates geval's, pseudo_invert's and ginvert's rules
         # (x = 0 and NaN give inf, 1 at or below s(1), clip to [0, 1]) in float
         # form; this keeps the two copies together
-        g = S.generator
-        for x in self.EDGE:
-            for y in self.EDGE:
-                want = pseudo_invert(g, geval(g, np.array([x])) + geval(g, np.array([y])))
-                want = float(want[0]).hex()
-                assert S.surface(x, y).hex() == want, (x, y)
-                assert evaluate(S, x, y).hex() == want, (x, y)
+        self.assert_point_kernel_matches(S, DEFAULT_TOL)
+
+    @pytest.mark.parametrize("S", MEMBERS[13:], ids=IDS[13:])
+    def test_point_kernel_at_a_coarser_tolerance(self, S):
+        # the twins' point solver keeps a bracket table per tolerance
+        self.assert_point_kernel_matches(S, ToleranceProfile(inversion_tol=1e-9))
 
     @pytest.mark.parametrize("S", [MEMBERS[5], MEMBERS[18]], ids=["closed", "numeric"])
     @pytest.mark.parametrize("x, y", [(1, 0), (0.3, 1), (np.float64(0.3), np.float64(0.5)),
