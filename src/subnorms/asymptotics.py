@@ -153,17 +153,16 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
     (b) non-increasing bounded profile: forces dominance plus the A/B envelope;
     (c) concave h with sup phi <= 1: dominance iff A <= phi <= 1.
 
-    ``pair = (S1, S2)`` adds the grid oracle to each cross-check.
+    Dominance is the subadditivity verdict, or the grid oracle's for a ``pair = (S1, S2)``.
     """
     u, hu = _profile(m, grid)
     phi = hu / u
     margin = tol.verdict_margin
 
-    subadd = subadditivity_test(m, grid, tol)
-    dominated = subadd.holds
-    if pair is not None:
-        oracle = direct_compare(pair[0], pair[1], grid, tol)
-        dominated = dominated_or_equal(oracle)
+    if pair is None:
+        dominated = subadditivity_test(m, grid, tol).holds
+    else:
+        dominated = dominated_or_equal(direct_compare(pair[0], pair[1], grid, tol))
 
     A_est = _slope_A(m, u, hu)
 

@@ -174,12 +174,8 @@ def cmd_surface(args, tol: ToleranceProfile) -> int:
     if args.out is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"io error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        with open(args.out, "w") as fh:
+            fh.write(text)
     return EXIT_OK
 
 

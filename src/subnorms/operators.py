@@ -41,12 +41,15 @@ LN2 = math.log(2.0)
 
 
 class Operator:
-    """The protocol: subclasses give per-axis ``values``, ``combine`` them into S,
-    and evaluate ``surface(x, y)`` as ``combine(values(x), values(y))`` (a
+    """The protocol: subclasses give per-axis ``values`` and ``combine`` them
+    into S, and ``surface(x, y)`` is ``combine(values(x), values(y))`` (a
     ``TSubnorm`` takes a point through a float kernel of the same value)."""
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
+
+    def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
+        return self.combine(self.values(x), self.values(y), tol)
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class TSubnorm(Operator):
         """
         xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if xa.ndim or ya.ndim:
-            return self.combine(self.values(x), self.values(y), tol)
+            return super().surface(x, y, tol)
         fx, fy = float(xa), float(ya)
         if not 0.0 <= fx <= 1.0:  # NaN fails
             raise DomainError(f"argument {x!r} outside [0, 1]")
@@ -142,9 +145,6 @@ class Fixture(Operator):
     fn: Callable[[np.ndarray, np.ndarray, ToleranceProfile], np.ndarray]
     label: str
     nilpotent: bool = False
-
-    def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        return self.combine(self.values(x), self.values(y), tol)
 
     def values(self, x):
         return np.asarray(x, dtype=float)

@@ -382,8 +382,6 @@ def nilpotent_guard(S: Operator, T_nilpotent: Fixture, grid: IntervalGrid,
                                notes="right operand is not a nilpotent fixture")
     candidates = [0.6, 0.5, 0.8] + [float(x) for x in grid.interior[::-1]]
     for x in candidates:
-        if not 0 < x < 1:
-            continue
         t_power, n = _power(T_nilpotent, x, 500, tol)
         if t_power > 0.0:
             continue  # fixture never vanished here; try another point

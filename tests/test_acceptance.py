@@ -37,6 +37,15 @@ def test_criterion_9_strict_dominance_replay():
     verify.check_product_isomorphism_replay()
 
 
+def test_run_all_reports_a_failing_check(monkeypatch, capsys):
+    def failing():
+        raise verify.CheckFailure("value drifted")
+
+    monkeypatch.setattr(verify, "CHECKS", [("good", lambda: "fine"), ("bad", failing)])
+    assert verify.run_all() is False
+    assert capsys.readouterr().out == "PASS good: fine\nFAIL bad: value drifted\n"
+
+
 def test_criterion_10_verify_paper_cli():
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "subnorms.cli", "verify-paper"],

@@ -19,7 +19,7 @@ from subnorms import (
     small_slope_B,
 )
 from subnorms.asymptotics import ORDER_LOWER, SAME_ORDER
-from subnorms import verify
+from subnorms import asymptotics, verify
 from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, ComposedMap, map_samples
 
 GRID = IntervalGrid.uniform(101)
@@ -82,6 +82,20 @@ class TestSlopeB:
         assert est.value == pytest.approx(1.0, abs=1e-3)
         assert est.value <= 2.0 + 1e-9  # subadditivity caps the sup at 2
 
+    def test_mixed_unnormalized_pair_not_applicable(self):
+        R = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        L = make_family(FamilySpec("log_sub", {"a": 0.5, "l": 1.0})).generator
+        est = small_slope_B(compose(L, R), GRID)
+        assert math.isnan(est.value) and not est.converged
+        assert est.note == "not_applicable: mixed unnormalized pair"
+
+    def test_sup_above_the_subadditive_bound_is_flagged(self):
+        R = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        D = make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 4.0})).generator
+        est = small_slope_B(compose(D, R), GRID)
+        assert est.value > 2.0
+        assert est.note == "sup over samples; exceeds the theoretical bound 2"
+
 
 class TestEnvelope:
     def test_log_map_envelope(self):
@@ -119,6 +133,26 @@ class TestGrowthPredicates:
         assert out["monotone_profile"].verdict == HOLDS
         assert out["concave_envelope"].verdict == HOLDS
         assert out["monotone_profile"].details["A"] == pytest.approx(0.6, rel=1e-3)
+
+    def test_pair_skips_the_subadditivity_test(self, monkeypatch):
+        S1 = make_family(FamilySpec("rational", {"a": 0.5}))
+        S2 = make_family(FamilySpec("rational", {"a": 0.7}))
+        expected = section4_equivalences(affine_map(), GRID, pair=(S1, S2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("subadditivity_test ran although the oracle decides")
+
+        monkeypatch.setattr(asymptotics, "subadditivity_test", refuse)
+        assert section4_equivalences(affine_map(), GRID, pair=(S1, S2)) == expected
+        with pytest.raises(AssertionError, match="subadditivity_test ran"):
+            section4_equivalences(affine_map(), GRID)
+
+    def test_nonconvex_profile_not_applicable(self):
+        L = make_family(FamilySpec("log_sub", {"a": 0.5, "l": 2.0})).generator
+        SS = make_family(FamilySpec("ss_sub", {"a": 0.5, "l": -2.0})).generator
+        rep = section4_equivalences(compose(L, SS), GRID)["convex_profile"]
+        assert (rep.verdict, rep.notes) == (NOT_APPLICABLE,
+                                            "phi not midpoint-convex on samples")
 
     def test_log_map_concave_branch(self):
         out = section4_equivalences(log_map(), GRID)

@@ -1,5 +1,7 @@
 """Command-line interface: spec grammar, output formats, exit codes."""
 
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -268,7 +270,7 @@ class TestSurface:
     def test_unwritable_path(self, capsys):
         assert main(["surface", "product", "--resolution", "3",
                      "--out", "/nonexistent/dir/surface.csv"]) == EXIT_IO
-        capsys.readouterr()
+        assert capsys.readouterr().err.startswith("io error: ")
 
     def test_resolution_too_small(self, capsys):
         assert main(["surface", "product", "--resolution", "1"]) == EXIT_PARSE
@@ -281,3 +283,17 @@ class TestVerifyPaper:
         out = capsys.readouterr().out
         assert out.count("PASS ") == 9
         assert "FAIL" not in out
+
+
+def test_import_loads_no_masked_arrays():
+    # numpy 2.4's np.unique imports numpy.ma (about 11 ms); cold eval and surface
+    # runs build no grid, so importing the package must not build one either
+    def loads_ma(module):
+        probe = f"import sys, {module}; print('numpy.ma' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True)
+        return proc.stdout.strip() == "True"
+
+    if loads_ma("numpy"):
+        pytest.skip("import numpy alone loads numpy.ma here")
+    assert not loads_ma("subnorms.cli")

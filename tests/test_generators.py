@@ -128,6 +128,12 @@ class TestEvaluation:
         assert geval(g, 0.0) + geval(g, 0.5) == INF
         assert geval(g, 0.0) > 1e308
 
+    def test_call_is_geval(self):
+        g = member("rational", a=0.5)
+        xs = np.array([0.0, 0.25, 1.0])
+        assert g(0.25) == geval(g, 0.25)
+        assert g(xs).tobytes() == geval(g, xs).tobytes()
+
 
 class TestInversion:
     def test_closed_inverse_round_trip(self):
@@ -376,6 +382,15 @@ class TestNormalization:
         with pytest.raises(ParameterError):
             affine_shift(member("product"), 0.0, 1.0)
 
+    def test_affine_shift_rejects_negative_boundary(self):
+        with pytest.raises(ParameterError, match="^shift makes s\\(1\\) negative$"):
+            affine_shift(member("product"), 1.0, -1.0)
+
+    def test_negative_boundary_rejected(self):
+        with pytest.raises(ParameterError,
+                           match="^boundary_at_one must be finite and >= 0$"):
+            Generator(lambda x: -np.log(x), -1.0, "neg")
+
 
 class TestValidation:
     def test_catalog_member_passes(self):
@@ -391,7 +406,8 @@ class TestValidation:
     def test_wrong_boundary_rejected(self):
         g = closed_form(lambda x: 1.0 / np.asarray(x, dtype=float),
                         lambda u: 1.0 / u, 7.0, "mislabeled")
-        with pytest.raises(GeneratorValidationError):
+        with pytest.raises(GeneratorValidationError,
+                           match="s\\(1\\) = 1.0 disagrees with declared 7.0$"):
             validate_generator(g)
 
     def test_finite_value_at_zero_rejected(self):
@@ -410,8 +426,35 @@ class TestValidation:
 
     def test_overflow_plateau_rejected(self):
         # s = inf on (0, ~0.21): inf - inf differences are NaN and compare false
-        with pytest.raises(GeneratorValidationError):
+        with pytest.raises(GeneratorValidationError,
+                           match="s is not finite at x = 1e-06 \\(overflow plateau\\?\\)$"):
             validate_generator(member("dombi_sub", a=0.6, l=300.0))
+
+    def test_fn_called_once_before_the_round_trip(self):
+        g = member("rational", a=0.5)
+        seen = []
+
+        def fn(x):
+            seen.append((type(x), np.shape(x)))
+            return g.fn(x)
+
+        validate_generator(dataclasses.replace(g, fn=fn))
+        # one 81-point sample, then s on the 8 round-trip values
+        assert seen == [(np.ndarray, (81,)), (np.ndarray, (8,))]
+
+    def test_non_vectorized_fn_fails_at_zero(self):
+        g = closed_form(lambda x: 5.0, lambda u: u, 0.0, "constant")
+        with pytest.raises(GeneratorValidationError, match="constant: s\\(0\\) must be inf$"):
+            validate_generator(g)
+
+    def test_fn_writing_its_input_fails_loudly(self):
+        # the shared sample is read-only, so it cannot be corrupted for later calls
+        def fn(x):
+            x *= 1.0
+            return (1.0 - x) / x
+
+        with pytest.raises(ValueError, match="read-only"):
+            validate_generator(closed_form(fn, lambda u: 1.0 / (1.0 + u), 0.0, "writes"))
 
     @pytest.mark.parametrize("g", CATALOG_GENERATORS + [
         family_generator(spec) for spec in EXTENDED_SPECS], ids=lambda g: g.label)
@@ -461,6 +504,12 @@ class TestGridAndTolerances:
             IntervalGrid(np.array([0.0, 0.5, 1.0]))
         with pytest.raises(ParameterError):
             IntervalGrid(np.array([0.2, 0.8]))  # missing 1
+
+    def test_rejects_empty_grids(self):
+        with pytest.raises(ParameterError, match="^grid needs at least one point$"):
+            IntervalGrid(np.array([]))
+        with pytest.raises(ParameterError, match="^uniform grid needs n >= 2$"):
+            IntervalGrid.uniform(1)
 
     @pytest.mark.parametrize("pts, message", [
         ([0.5, math.nan, 1.0], "strictly increasing"),

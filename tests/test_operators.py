@@ -282,6 +282,11 @@ class TestEvaluate:
                 call(math.nan, 0.5)
         assert luka(0.5, 0.75) == pytest.approx(0.25)
 
+    def test_array_outside_the_square_rejected(self):
+        S = make_family(FamilySpec("product"))
+        with pytest.raises(DomainError, match="^arguments outside the unit square$"):
+            evaluate(S, np.array([0.5, 1.5]), 0.5)
+
     def test_vector_evaluation(self):
         S = make_family(FamilySpec("product"))
         xs = np.array([0.2, 0.5, 1.0])

@@ -485,6 +485,13 @@ class TestGuards:
         assert rep.details["s_power"] > 0
         assert rep.details["n"] >= 2
 
+    def test_nilpotent_guard_without_a_vanishing_power(self):
+        # Yager(1e4) is min(x, y) to within rounding: no power vanishes in 500 steps
+        S = make_family(FamilySpec("product"))
+        rep = nilpotent_guard(S, yager_fixture(1e4), IntervalGrid.uniform(41))
+        assert (rep.verdict, rep.notes) == (NOT_APPLICABLE,
+                                            "no vanishing power found on the grid")
+
     def test_nilpotent_guard_rejects_strict_rhs(self):
         S = make_family(FamilySpec("product"))
         H = make_family(FamilySpec("hamacher0"))
@@ -497,6 +504,13 @@ class TestGuards:
         assert rep.verdict == HOLDS
         x, s_val, t_val = rep.worst_case
         assert s_val < x == t_val
+
+    def test_proper_lhs_without_a_boundary_gap(self):
+        # s(1) = 1e-9: S(x, 1) falls short of x by less than the margin
+        P = make_family(FamilySpec("product"))
+        S = TSubnorm(affine_shift(P.generator, 1.0, 1e-9))
+        rep = proper_never_dominates_tnorm_check(S, P, IntervalGrid.uniform(41))
+        assert (rep.verdict, rep.notes) == (FAILS, "no boundary gap found")
 
     def test_strict_lhs_not_applicable(self):
         P = make_family(FamilySpec("product"))
