@@ -40,10 +40,22 @@ from .generators import (
 LN2 = math.log(2.0)
 
 
+def _triangle_rows(n: int):
+    """The row blocks (r, k) that walk the cells j >= i of an n x n square:
+    rows r to r + k - 1 over columns r to n - 1, about ``SOLVER_CHUNK`` cells
+    each (one row at least)."""
+    r = 0
+    while r < n:
+        k = min(max(1, SOLVER_CHUNK // (n - r)), n - r)
+        yield r, k
+        r += k
+
+
 class Operator:
     """The protocol: subclasses give per-axis ``values`` and ``combine`` them
     into S, and ``surface(x, y)`` is ``combine(values(x), values(y))`` (a
-    ``TSubnorm`` takes a point through a float kernel of the same value)."""
+    ``TSubnorm`` takes a point through a float kernel of the same value, and
+    a square from one axis by inverting one triangle and mirroring it)."""
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
@@ -107,9 +119,19 @@ class TSubnorm(Operator):
     def combine(self, vx, vy, tol: ToleranceProfile = DEFAULT_TOL):
         """s^{(-1)}(vx + vy), inf saturating.  Blocks of leading-axis rows of about
         SOLVER_CHUNK points are summed into one reused buffer and inverted into
-        the result; a lone block is inverted in the buffer itself."""
+        the result; a lone block is inverted in the buffer itself.
+
+        A square of more than one block from a column and a row that hold the
+        same values is symmetric bit for bit (float addition commutes and each
+        inverted value depends on its target alone), so only its cells j >= i
+        are inverted, on the oracle's walk (:func:`_triangle_rows`), and each
+        block is also written to its mirror."""
         shape = np.broadcast_shapes(np.shape(vx), np.shape(vy))
         n, rows = shape[0], max(1, SOLVER_CHUNK // max(1, math.prod(shape[1:])))
+        if rows < n and np.shape(vx) == (n, 1) and np.shape(vy) == (1, n):
+            v = np.ravel(vx)
+            if np.array_equal(v, np.ravel(vy)):
+                return self._mirrored(v, tol)
         buf = np.empty((min(rows, n),) + shape[1:])
         if rows >= n:
             return pseudo_invert(self.generator, np.add(vx, vy, out=buf), tol, out=buf)
@@ -118,6 +140,18 @@ class TSubnorm(Operator):
         for lo in range(0, n, rows):
             u = np.add(vx[lo:lo + rows], vy[lo:lo + rows], out=buf[:min(rows, n - lo)])
             pseudo_invert(self.generator, u, tol, out=out[lo:lo + rows])
+        return out
+
+    def _mirrored(self, v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
+        """The square s^{(-1)}(v[i] + v[j]) from its cells j >= i."""
+        n = v.size
+        out = np.empty((n, n))
+        buf = np.empty(max(SOLVER_CHUNK, n))
+        for r, k in _triangle_rows(n):
+            u = np.add(v[r:r + k, None], v[None, r:], out=buf[:k * (n - r)].reshape(k, n - r))
+            pseudo_invert(self.generator, u, tol, out=u)
+            out[r:r + k, r:] = u
+            out[r + k:, r:r + k] = u[:, k:].T
         return out
 
     @property

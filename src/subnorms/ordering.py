@@ -2,9 +2,10 @@
 
 A brute-force grid oracle (:func:`direct_compare`) scans the grid plus the
 decade points the criteria sample near 0; d = S1 - S2 is symmetric, so it
-scans one triangle of the grid in blocks of about ``SOLVER_CHUNK`` cells, keeps
-each block's extreme cells as candidates and holds O(n) memory for n points
-per axis, evaluating each operand's per-axis values once per call.  Every
+scans one triangle of the grid in blocks of about ``SOLVER_CHUNK`` cells (the
+walk ``TSubnorm.combine`` also takes on a square surface, which it mirrors),
+keeps each block's extreme cells as candidates and holds O(n) memory for n
+points per axis, evaluating each operand's per-axis values once per call.  Every
 other test here is a criterion on the composed map h = s1 o s2^{-1}:
 subadditivity of h characterizes S1 <= S2 exactly (superadditivity
 S2 <= S1); linearity characterizes equality; concavity (with
@@ -33,8 +34,8 @@ from .generators import (
     Generator,
     IntervalGrid,
     ParameterError,
-    SOLVER_CHUNK,
     ToleranceProfile,
+    _unique,
     geval,
     ginvert,
     normalize,
@@ -44,6 +45,7 @@ from .operators import (
     Fixture,
     Operator,
     TSubnorm,
+    _triangle_rows,
     _worst,
     make_family,
 )
@@ -152,7 +154,7 @@ def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
     (h(inf) = inf makes subadditivity trivial).
     """
     u = geval(m.rhs, grid.axis)
-    return np.unique(u[np.isfinite(u)])
+    return _unique(u[np.isfinite(u)])
 
 
 def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +224,10 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
 
     d = S1 - S2 is combined from each operator's per-axis values, taken once,
     on the cells j >= i of the square grid, in blocks of rows of about
-    ``SOLVER_CHUNK`` cells, each reduced to its first max and min cell as it
-    goes, so memory is O(n) for n points per axis.  ``np.argmax`` over the
+    ``SOLVER_CHUNK`` cells (``operators._triangle_rows``, the walk on which
+    ``TSubnorm.combine`` inverts a square surface's triangle and mirrors it),
+    each reduced to its first max and min cell as it goes, so memory is O(n)
+    for n points per axis.  ``np.argmax`` over the
     block maxima (``np.argmin`` over the minima) then picks the first NaN, or
     else the first extreme, as one full scan would.  A skipped cell (i, j),
     j < i, mirrors a scanned (j, i) earlier in row-major order, so the
@@ -235,14 +239,11 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     n = pts.size
     v1, v2 = S1.values(pts), S2.values(pts)
     blocks = []  # per block: its first max and first min cell, each (d, i, j)
-    r = 0
-    while r < n:
-        rows = max(1, SOLVER_CHUNK // (n - r))
-        d = S1.combine(v1[r:r + rows, None], v1[None, r:], tol)
-        d -= S2.combine(v2[r:r + rows, None], v2[None, r:], tol)
-        blocks.append([(float(d.flat[k]), r + k // (n - r), r + k % (n - r))
-                       for k in (int(d.argmax()), int(d.argmin()))])
-        r += rows
+    for r, k in _triangle_rows(n):
+        d = S1.combine(v1[r:r + k, None], v1[None, r:], tol)
+        d -= S2.combine(v2[r:r + k, None], v2[None, r:], tol)
+        blocks.append([(float(d.flat[c]), r + c // (n - r), r + c % (n - r))
+                       for c in (int(d.argmax()), int(d.argmin()))])
     tops, lows = zip(*blocks)
     top = tops[int(np.argmax([c[0] for c in tops]))]
     low = lows[int(np.argmin([c[0] for c in lows]))]
@@ -296,12 +297,14 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
 
 def _linear_fit(m: ComposedMap, u, hu, margin) -> tuple[bool, tuple, float]:
     """(h = c*u with c > 0 on the samples, witness, c) for c = h(u0)/u0 at the
-    median positive sample u0 (:func:`map_samples` always has one); h(u0) is
-    read from hu when u0 is itself a sample (an odd count)."""
+    median positive sample u0 (:func:`map_samples` always has one, sorted, so
+    u0 is read off as ``np.median`` computes it); h(u0) is read from hu when u0
+    is itself a sample (an odd count)."""
     pos = u > 0
     up = u[pos]
-    u0 = float(np.median(up))
-    c = float(hu[pos][up.size // 2] if up.size % 2 else m(u0)) / u0
+    k = up.size // 2
+    u0 = float(up[k] if up.size % 2 else (up[k - 1] + up[k]) / 2)
+    c = float(hu[pos][k] if up.size % 2 else m(u0)) / u0
     linear, wc = _worst(np.abs(hu - c * u), margin * np.maximum(1.0, np.abs(u)), u)
     return c > 0 and linear, wc, c
 

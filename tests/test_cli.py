@@ -287,13 +287,16 @@ class TestVerifyPaper:
 
 def test_import_loads_no_masked_arrays():
     # numpy 2.4's np.unique imports numpy.ma (about 11 ms); cold eval and surface
-    # runs build no grid, so importing the package must not build one either
-    def loads_ma(module):
-        probe = f"import sys, {module}; print('numpy.ma' in sys.modules)"
+    # runs build no grid, so importing the package must not build one either;
+    # compare and scan build grids and samples, without np.unique or np.median
+    def loads_ma(module, run="None"):
+        probe = f"import sys, {module}; {run}; print('numpy.ma' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                               text=True, check=True)
-        return proc.stdout.strip() == "True"
+        return proc.stdout.split()[-1] == "True"
 
     if loads_ma("numpy"):
         pytest.skip("import numpy alone loads numpy.ma here")
     assert not loads_ma("subnorms.cli")
+    assert not loads_ma("subnorms.cli", "subnorms.cli.main(['compare', 'product', 'hamacher0']); "
+                        "subnorms.cli.main(['scan', 'dombi:a=0.6', '--lambdas=1,2'])")

@@ -26,6 +26,7 @@ from subnorms import (
     numeric_inverse,
     yager_fixture,
 )
+from subnorms import operators
 from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK, geval, ginvert, pseudo_invert
 from subnorms.operators import FAMILY_NAMES
 
@@ -303,17 +304,42 @@ class TestBlockedSurface:
     """surface inverts blocks of leading-axis rows; each row must not depend on its block."""
 
     MEMBERS = [make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0})), numeric_member()]
+    # (member, points per axis, a row of other values, operators.SOLVER_CHUNK):
+    # a square from one axis inverts one triangle and mirrors it unless one
+    # block covers it; a chunk of 64 runs many blocks and the mirror at n = 50
+    SQUARES = [(S, 401, False, SOLVER_CHUNK) for S in MEMBERS] + [
+        (S, n, other, chunk) for S in MEMBERS
+        for n, other, chunk in [(1, False, SOLVER_CHUNK), (2, False, SOLVER_CHUNK),
+                                (3, False, SOLVER_CHUNK), (401, True, SOLVER_CHUNK),
+                                (50, False, 64)]]
+    SQUARE_IDS = ["closed", "numeric"] + [
+        f"{kind}-{case}" for kind in ("closed", "numeric")
+        for case in ("n1", "n2", "n3", "other_row", "chunk64")]
 
-    @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
-    def test_square_matches_rows(self, S):
-        ax = np.linspace(0.0, 1.0, 401)
-        X, Y = ax[:, None], ax[None, :]
+    @pytest.mark.parametrize("S, n, other, chunk", SQUARES, ids=SQUARE_IDS)
+    def test_square_matches_rows(self, S, n, other, chunk, monkeypatch):
+        monkeypatch.setattr(operators, "SOLVER_CHUNK", chunk)
+        ax = np.linspace(0.0, 1.0, n)
+        X, Y = ax[:, None], (np.sqrt(ax) if other else ax)[None, :]
         Z = S.surface(X, Y)
-        assert Z.shape == (401, 401)
+        assert Z.shape == (n, n)
         np.testing.assert_array_equal(Z, np.vstack([S.surface(X[i:i + 1], Y)
                                                     for i in range(ax.size)]))
-        np.testing.assert_array_equal(Z[::80, ::80], [[S.surface(x, y) for y in ax[::80]]
-                                                      for x in ax[::80]])
+        step = max(1, n // 5)
+        np.testing.assert_array_equal(Z[::step, ::step], [[S.surface(x, y) for y in Y[0, ::step]]
+                                                          for x in ax[::step]])
+
+    def test_square_inverts_one_triangle(self, monkeypatch):
+        targets = []
+
+        def counting(g, u, *args, **kwargs):
+            targets.append(u.size)
+            return pseudo_invert(g, u, *args, **kwargs)
+
+        monkeypatch.setattr(operators, "pseudo_invert", counting)
+        ax = np.linspace(0.0, 1.0, 401)
+        numeric_member().surface(ax[:, None], ax[None, :])
+        assert 0 < sum(targets) <= 0.6 * 401 ** 2
 
     @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
     def test_associativity_broadcast_matches_rows(self, S):
@@ -326,9 +352,10 @@ class TestBlockedSurface:
             [S.surface(S.surface(A[i:i + 1], B), C) for i in range(sub.size)]))
 
     @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
-    @pytest.mark.parametrize("shapes", [((0, 1), (1, 5)), ((4, 1), (1, 0)), ((0,), (0,))])
+    @pytest.mark.parametrize("shapes", [((0, 1), (1, 5)), ((4, 1), (1, 0)), ((0,), (0,)),
+                                        ((0, 1), (1, 0))])
     def test_empty_inputs_keep_their_shape(self, S, shapes):
-        x, y = (np.empty(shape) for shape in shapes)
+        x, y = (np.zeros(shape) for shape in shapes)  # in the domain: (4, 1) holds values
         assert S.surface(x, y).shape == np.broadcast_shapes(*shapes)
 
 
