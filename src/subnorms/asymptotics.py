@@ -120,6 +120,17 @@ def _sup_slope(u: np.ndarray, hu: np.ndarray, tol: ToleranceProfile) -> SlopeEst
                          sequence=[(float(u[k]), value)], note=note)
 
 
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a 1-d array by a sort: the middle value, or the mean of
+    the two middle values, and NaN if any value is NaN or a is empty (numpy
+    2.4's ``np.median`` imports ``numpy.ma``, about 11 ms in a cold process)."""
+    a = np.sort(a)  # NaN sorts last
+    k = a.size // 2
+    if not a.size or np.isnan(a[-1]):
+        return math.nan
+    return float(a[k] if a.size % 2 else (a[k - 1] + a[k]) / 2)
+
+
 def _envelope(u: np.ndarray, hu: np.ndarray, A: float, B: float,
               tol: ToleranceProfile) -> CriterionReport:
     # positive residuals leave the envelope: below A*u or above B*u
@@ -127,7 +138,7 @@ def _envelope(u: np.ndarray, hu: np.ndarray, A: float, B: float,
                        tol.verdict_margin * np.maximum(1.0, u), u)
     notes = ""
     phi = hu / u
-    if phi[-1] > 10.0 * np.median(phi) and phi[-1] > phi[u.size // 2]:
+    if phi[-1] > 10.0 * _median(phi) and phi[-1] > phi[u.size // 2]:
         notes = "h(x)/x unbounded on samples; h itself is unbounded"
     return CriterionReport("linear_envelope_check", HOLDS if holds else FAILS, wc,
                            notes=notes)

@@ -108,6 +108,12 @@ def _operator(text: str, tol: ToleranceProfile):
     return make_family(parse_operator_spec(text), tol)
 
 
+def _grid(n: int) -> IntervalGrid:
+    if n < 2:
+        raise SpecSyntaxError("--grid must be at least 2")
+    return IntervalGrid.uniform(n)
+
+
 def _check_criterion(name: str | None) -> None:
     if name is not None and name not in CRITERION_NAMES:
         raise SpecSyntaxError(
@@ -125,7 +131,7 @@ def cmd_compare(args, tol: ToleranceProfile) -> int:
     S1 = _operator(args.lhs, tol)
     S2 = _operator(args.rhs, tol)
     _check_criterion(args.criterion)
-    grid = IntervalGrid.uniform(args.grid)
+    grid = _grid(args.grid)
     if args.criterion is None:
         verdict = compare(S1, S2, grid, tol)
     else:  # the named test's verdict, reported next to the oracle's
@@ -145,7 +151,7 @@ def cmd_scan(args, tol: ToleranceProfile) -> int:
     except ValueError:
         raise SpecSyntaxError(f"bad --lambdas list {args.lambdas!r}") from None
     _check_criterion(args.criterion)
-    grid = IntervalGrid.uniform(args.grid)
+    grid = _grid(args.grid)
     scan = family_monotonicity_scan(spec.family, spec.params, lambdas,
                                     args.criterion, grid, tol)
     print(f"family: {scan['family']}")

@@ -359,6 +359,10 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
     A closed ``inverse_fn`` is evaluated directly; without one, s(x) = u is
     solved to within inversion_tol / 2 by a bracketed root finder.  A given
     ``out`` (u's shape; u itself allowed) is clamped into and inverted in place.
+    A scalar u is clamped as [u] (numpy's 0-d loops may round differently) and
+    then solved in float steps, bit-identical to the 1-element array: a closed
+    inverse is evaluated on the clamped [u], and the root finder is
+    :func:`_invert_point`.
     """
     arr, scalar = _as_1d(u)
     low = arr.min(initial=INF)
@@ -368,6 +372,15 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
         raise DomainError(
             f"value {low!r} below s(1) = {g.boundary_at_one}; use pseudo_invert")
     out = np.maximum(arr, g.boundary_at_one, out=out)
+    if scalar:
+        v = float(out[0])
+        if v == INF:
+            return 0.0
+        if g.inverse_fn is None:
+            return _invert_point(g, v, tol)
+        with np.errstate(all="ignore"):
+            x = float(np.asarray(g.inverse_fn(out), dtype=float)[0])
+        return min(x, 1.0) if x >= 0.0 else 0.0  # np.clip keeps -0.0; NaN gives 0
     if g.inverse_fn is None:
         fin = np.isfinite(out)
         if fin.any():  # the solver's table costs hundreds of fn points

@@ -104,7 +104,7 @@ class TSubnorm(Operator):
             u = (INF if fx == 0.0 or sx != sx else sx) + (INF if fy == 0.0 or sy != sy else sy)
             if b < u < INF and g.inverse_fn is not None:
                 v = float(np.asarray(g.inverse_fn(np.array([u])), dtype=float)[0])
-                return min(v, 1.0) if v > 0.0 else 0.0  # ginvert: NaN gives 0, clip
+                return min(v, 1.0) if v >= 0.0 else 0.0  # ginvert: clip, NaN gives 0
         if u != u:  # inf + -inf
             raise DomainError("cannot pseudo-invert NaN")
         if u <= b:  # pseudo_invert: 1 at or below s(1)

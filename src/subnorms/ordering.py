@@ -19,12 +19,17 @@ are subadditivity and linearity of h = s o t^{-1}.  Every named criterion is
 one row of a registry, which :func:`run_criterion` alone runs.  The public
 :func:`compare` samples h once for the equality and ratio certificates and one
 residual matrix of h for both directions, and records which path decided.
-It and the oracle build their (x, y, S1, S2) witnesses with one helper.
+Every matrix of h over sample pairs (compare's, and the criteria's) evaluates
+h on its cells j >= i only and mirrors them: the pair sums and midpoints
+commute bit for bit.  It and the oracle build their (x, y, S1, S2) witnesses
+with one helper, on the point kernel of each ``TSubnorm``; compare's witness
+coordinates are scalar inverses, solved in float steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -89,12 +94,32 @@ def _convexity_gap(fc, fu, fv):  # f(c) <= (f(u) + f(v))/2
     return fc - _midpoint(fu, fv)
 
 
+@lru_cache(maxsize=8)
+def _triangle_cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, i*n + j, j*n + i) over the cells j >= i of an n x n square: the
+    axis indices of each cell, its flat index and that of its mirror."""
+    i, j = np.triu_indices(n)
+    cells = (i, j, i * n + j, j * n + i)
+    for a in cells:
+        a.setflags(write=False)
+    return cells
+
+
 def _pair_residuals(u, fu, f, combine, residual, margin) -> tuple:
     """residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) on all sample pairs, its
-    allowance _slack(margin, f(u_i), f(u_j)) and the axes u_i, u_j."""
+    allowance _slack(margin, f(u_i), f(u_j)) and the axes u_i, u_j.
+
+    combine commutes bit for bit (``np.add``, :func:`_midpoint`) and each value
+    of f depends on its own argument alone, so f is evaluated on the cells
+    j >= i only and each value is written to (i, j) and (j, i); the residual
+    and its allowance run on the full square."""
+    n = u.size
+    i, j, upper, lower = _triangle_cells(n)
+    fc = np.empty(n * n)
+    fc[upper] = fc[lower] = f(combine(u.take(i), u.take(j)))
     U, V = u[:, None], u[None, :]
     FU, FV = fu[:, None], fu[None, :]
-    return residual(f(combine(U, V)), FU, FV), _slack(margin, FU, FV), U, V
+    return residual(fc.reshape(n, n), FU, FV), _slack(margin, FU, FV), U, V
 
 
 def _within(res, allow, *coords) -> tuple[bool, tuple]:
@@ -213,9 +238,20 @@ def serialize_report(r: CriterionReport) -> str:
 
 def _witnesses(S1: Operator, S2: Operator, X, Y,
                tol: ToleranceProfile) -> list[tuple]:
-    """[(x, y, S1(x, y), S2(x, y)), ...] at the points of the arrays X, Y."""
-    return [tuple(map(float, w))
-            for w in zip(X, Y, S1.surface(X, Y, tol), S2.surface(X, Y, tol))]
+    """[(x, y, S1(x, y), S2(x, y)), ...] at the points of the sequences X, Y.
+
+    A ``TSubnorm`` takes each point through its float kernel; a ``Fixture``
+    takes X, Y as arrays, as its formula may round differently on numpy's 0-d
+    loops."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    xs, ys = X.tolist(), Y.tolist()
+
+    def column(S: Operator) -> list[float]:
+        if isinstance(S, TSubnorm):
+            return [float(S.surface(x, y, tol)) for x, y in zip(xs, ys)]
+        return S.surface(X, Y, tol).tolist()
+
+    return list(zip(xs, ys, column(S1), column(S2)))
 
 
 def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
@@ -546,12 +582,15 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     non-decreasing S2 <= S1) and R = h(u_i + u_j) - h(u_i) - h(u_j):
     S1 <= S2 iff R <= slack (h subadditive), S2 <= S1 iff -R <= slack (h^{-1}
     subadditive at h(u_i), h(u_j)).  Both compare the same two values, so the
-    _slack(margin, h(u_i), h(u_j)) round-off allowance serves both.  R is NaN
-    only where h(u_i) + h(u_j) = inf forces h(u_i + u_j) = inf, the exact
-    infinity branch: both hold there.  Witnesses (x, y, S1, S2) at
-    (x, y) = g2^{-1}(u_i, u_j) are the tightest point of EQUAL, DOMINATED and
-    DOMINATES, and one per direction for INCOMPARABLE; a violation without a
-    strict S1 > S2 at its point (S2 > S1 reversed) makes the verdict UNKNOWN.
+    _slack(margin, h(u_i), h(u_j)) round-off allowance serves both.  The values
+    h(u_i + u_j) are evaluated on the cells j >= i and mirrored
+    (:func:`_pair_residuals`).  R is NaN only where h(u_i) + h(u_j) = inf
+    forces h(u_i + u_j) = inf, the exact infinity branch: both hold there.
+    Witnesses (x, y, S1, S2) at (x, y) = g2^{-1}(u_i, u_j), four scalar
+    ``ginvert`` calls in float steps, with S1 and S2 from their point kernels,
+    are the tightest point of EQUAL, DOMINATED and DOMINATES, and one per
+    direction for INCOMPARABLE; a violation without a strict S1 > S2 at its
+    point (S2 > S1 reversed) makes the verdict UNKNOWN.
     :class:`Fixture` operands get the oracle.
     """
     if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
@@ -569,7 +608,8 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             return ComparisonVerdict(relation, [], "ratio_criterion", margin)
     R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
     (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)
-    X, Y = ginvert(m.rhs, np.array([fwd[:2], rev[:2]]).T, tol)  # at (fwd, rev)
+    # X = (x_fwd, x_rev), Y = (y_fwd, y_rev): four scalar inverses
+    X, Y = [[ginvert(m.rhs, w[k], tol) for w in (fwd, rev)] for k in (0, 1)]
     wits = _witnesses(S1, S2, X, Y, tol)
     relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),
                       (True, False): (DOMINATED, [0]), (False, True): (DOMINATES, [1]),

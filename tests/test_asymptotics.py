@@ -124,6 +124,18 @@ class TestEnvelope:
         assert "unbounded" in rep.notes
 
 
+@pytest.mark.parametrize("a", [
+    [2.0], [3.0, 1.0], [5.0, 1.0, 4.0], [0.1, 0.7, 0.2, 0.3], [1.0, math.nan, 0.5],
+    [math.nan, 1.0], [-math.inf, math.inf], [math.inf, 1.0, 2.0, math.inf],
+    np.random.default_rng(0).uniform(0.0, 3.0, 104).tolist(),
+    np.random.default_rng(1).uniform(0.0, 3.0, 103).tolist()])
+def test_median_is_numpys(a):
+    # the sort-based median of _envelope: same value, NaN rule and even-count mean
+    a = np.array(a)
+    with np.errstate(invalid="ignore"):  # -inf + inf, in both
+        assert asymptotics._median(a).hex() == float(np.median(a)).hex()
+
+
 class TestGrowthPredicates:
     def test_affine_pair_all_branches_hold(self):
         S1 = make_family(FamilySpec("rational", {"a": 0.5}))

@@ -181,6 +181,11 @@ class TestCompare:
                      "--criterion", "nope"]) == EXIT_PARSE
         capsys.readouterr()
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_grid_too_small(self, n, capsys):
+        assert main(["compare", "product", "hamacher0", "--grid", n]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: --grid must be at least 2\n"
+
 
 class TestScan:
     def test_dombi_increasing(self, capsys):
@@ -227,6 +232,15 @@ class TestScan:
         assert main(["scan", "dombi:a=0.6", "--lambdas", "0.5,1",
                      "--criterion", "nope"]) == EXIT_PARSE
         assert "unknown criterion 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_grid_too_small(self, n, capsys):
+        assert main(["scan", "dombi:a=0.6", "--lambdas", "0.5,1", "--grid", n]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: --grid must be at least 2\n"
+
+    def test_smallest_grid(self, capsys):
+        assert main(["scan", "dombi:a=0.6", "--lambdas", "0.5,1", "--grid", "2"]) == EXIT_OK
+        capsys.readouterr()
 
 
 class TestSurface:
@@ -288,7 +302,8 @@ class TestVerifyPaper:
 def test_import_loads_no_masked_arrays():
     # numpy 2.4's np.unique imports numpy.ma (about 11 ms); cold eval and surface
     # runs build no grid, so importing the package must not build one either;
-    # compare and scan build grids and samples, without np.unique or np.median
+    # compare, scan and verify-paper build grids and samples, without np.unique
+    # or np.median
     def loads_ma(module, run="None"):
         probe = f"import sys, {module}; {run}; print('numpy.ma' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -299,4 +314,5 @@ def test_import_loads_no_masked_arrays():
         pytest.skip("import numpy alone loads numpy.ma here")
     assert not loads_ma("subnorms.cli")
     assert not loads_ma("subnorms.cli", "subnorms.cli.main(['compare', 'product', 'hamacher0']); "
-                        "subnorms.cli.main(['scan', 'dombi:a=0.6', '--lambdas=1,2'])")
+                        "subnorms.cli.main(['scan', 'dombi:a=0.6', '--lambdas=1,2']); "
+                        "subnorms.cli.main(['verify-paper'])")

@@ -29,6 +29,7 @@ from subnorms import (
     pseudo_invert,
     validate_generator,
 )
+from subnorms import generators
 from subnorms.generators import _bracket_invert, _invert_point, _secant
 from subnorms.operators import FamilySpec, TSubnorm, catalog, family_generator
 
@@ -307,6 +308,63 @@ class TestNumericInversion:
             want = _secant(*(np.array([v]) for v in (a, b, fa, fb)))[0]
             got = _secant(a, b, fa, fb)
         assert float(got).hex() == float(want).hex()
+
+
+# the benchmark's point axis: k/10 and three decade points near 0
+POINT_AXIS = np.unique(np.concatenate([np.linspace(0.0, 1.0, 11), np.geomspace(1e-6, 1e-2, 3)]))
+
+
+class TestScalarInversion:
+    """A scalar target is solved in float steps, bit-identical to [u]."""
+
+    @staticmethod
+    def targets(g):
+        s = geval(g, POINT_AXIS)
+        b, tol = g.boundary_at_one, DEFAULT_TOL.inversion_tol
+        sums = (s[:, None] + s[None, :])[np.triu_indices(s.size)]
+        edges = [INF, b, np.nextafter(b, INF), b + tol, b - tol / 2, b - tol]
+        return np.concatenate([s, sums, edges, [-0.0] if b == 0 else []])
+
+    @pytest.mark.parametrize("g", CATALOG_GENERATORS + [numeric_twin(g) for g in CATALOG_GENERATORS],
+                             ids=lambda g: g.label + ("/numeric" if g.inverse_fn is None else ""))
+    def test_matches_the_one_element_array(self, g):
+        for u in self.targets(g).tolist():
+            got = ginvert(g, u)
+            assert type(got) is float
+            assert got.hex() == float(ginvert(g, np.array([u]))[0]).hex(), (g.label, u)
+
+    def test_clip_and_nan_rules_of_a_closed_inverse(self):
+        # values above 1, -0.0 (kept, as np.clip keeps it), below 0 and NaN
+        g = closed_form(lambda x: 4.0 * (1.0 - x), lambda u: (u - 2.0) * -np.sqrt(4.0 - u) / 2,
+                        0.0, "clipped")
+        # an inverse that reads the sign of u = -0.0, which ties with s(1) = 0
+        sign = closed_form(g.fn, lambda u: np.copysign(0.5, u), 0.0, "sign")
+        for h in (g, sign):
+            for u in [-0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, INF]:
+                assert ginvert(h, u).hex() == float(ginvert(h, np.array([u]))[0]).hex(), u
+        assert [ginvert(g, u) for u in (0.0, 3.0, 5.0)] == [1.0, 0.0, 0.0]
+        assert math.copysign(1.0, ginvert(g, 2.0)) == -1.0
+
+    @pytest.mark.parametrize("g", [CATALOG_GENERATORS[5], numeric_twin_of_rational()],
+                             ids=["closed", "numeric"])
+    def test_domain_errors_unchanged(self, g):
+        with pytest.raises(DomainError, match="cannot invert NaN"):
+            ginvert(g, math.nan)
+        with pytest.raises(DomainError, match="below s"):
+            ginvert(g, 1.0 - 2 * DEFAULT_TOL.inversion_tol)
+
+    def test_array_solver_never_runs(self, monkeypatch):
+        def polish(*args):
+            raise AssertionError("the array solver ran for a scalar target")
+
+        g = numeric_twin_of_rational()
+        want = [float(ginvert(g, np.array([u]))[0]) for u in (1.0, 1.5, 3.0, 1e6)]
+        monkeypatch.setattr(generators, "_polish", polish)
+        assert [ginvert(g, u) for u in (1.0, 1.5, 3.0, 1e6)] == want
+        assert ginvert(g, np.float64(3.0)) == want[2]
+        assert ginvert(g, np.array(3.0)) == want[2]
+        with pytest.raises(AssertionError, match="array solver"):
+            ginvert(g, np.array([3.0]))
 
 
 class TestBracketTableCache:

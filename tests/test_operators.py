@@ -15,8 +15,10 @@ from subnorms import (
     IntervalGrid,
     ParameterError,
     ToleranceProfile,
+    TSubnorm,
     catalog,
     check_axioms,
+    closed_form,
     complete_to_tnorm,
     dual_superconorm,
     evaluate,
@@ -388,6 +390,18 @@ class TestSurfaceKernel:
         # (x = 0 and NaN give inf, 1 at or below s(1), clip to [0, 1]) in float
         # form; this keeps the two copies together
         self.assert_point_kernel_matches(S, DEFAULT_TOL)
+
+    def test_point_kernel_clips_as_the_array_path(self):
+        # a closed inverse above 1, at -0.0 (np.clip keeps it), below 0 and NaN
+        g = closed_form(lambda x: 4.0 * (1.0 - x), lambda u: (u - 2.0) * -np.sqrt(4.0 - u) / 2,
+                        0.0, "clipped")
+        S = TSubnorm(g)
+        pts = [0.0, 0.3, 0.5, 0.625, 0.75, 0.9, 1.0]
+        for x in pts:
+            for y in pts:
+                want = float(S.combine(S.values(np.array([x])), S.values(np.array([y])))[0])
+                assert S.surface(x, y).hex() == want.hex(), (x, y)
+        assert math.copysign(1.0, S.surface(0.75, 0.75)) == -1.0
 
     @pytest.mark.parametrize("S", MEMBERS[13:], ids=IDS[13:])
     def test_point_kernel_at_a_coarser_tolerance(self, S):

@@ -755,6 +755,103 @@ class TestResidualMatrix:
         assert decided == {"equality_test", "ratio_criterion", "subadditivity_test"}
 
 
+def numeric_twins():
+    return [from_generator(numeric_inverse(g.fn, g.boundary_at_one, g.label,
+                                           g.family, g.params))
+            for g in (S.generator for S in catalog())]
+
+
+def pair_maps(members):
+    """h of every ordered pair of members, as compare builds it."""
+    return [ordering._section3_map(S1, S2, DEFAULT_TOL)
+            for S1 in members for S2 in members if S1 is not S2]
+
+
+def old_witnesses(S1, S2, X, Y, tol=DEFAULT_TOL):
+    """The witnesses from one surface call per operand on the arrays X, Y."""
+    return [tuple(map(float, w))
+            for w in zip(X, Y, S1.surface(X, Y, tol), S2.surface(X, Y, tol))]
+
+
+class TestTriangleOfH:
+    """h over sample pairs is evaluated on one triangle and mirrored."""
+
+    @pytest.mark.parametrize("combine", [np.add, ordering._midpoint],
+                             ids=["add", "midpoint"])
+    @pytest.mark.parametrize("kind", ["closed", "numeric"])
+    def test_matches_the_full_square(self, kind, combine):
+        # bit for bit, f(combine(U, V)) on the full square: the residual here
+        # is f itself, so the matrix is compared before any subtraction
+        members = catalog() if kind == "closed" else numeric_twins()
+        for m in pair_maps(members):
+            u = map_samples(m, GRID)
+            hu = m(u)
+            fc, allow, U, V = ordering._pair_residuals(
+                u, hu, m, combine, lambda fc, fu, fv: fc, DEFAULT_TOL.verdict_margin)
+            full = m(combine(u[:, None], u[None, :]))
+            assert fc.shape == full.shape == (u.size, u.size)
+            assert fc.tobytes() == full.tobytes(), m.label
+            want = ordering._slack(DEFAULT_TOL.verdict_margin, hu[:, None], hu[None, :])
+            assert allow.tobytes() == want.tobytes()
+
+    def test_compare_inverts_one_triangle(self, monkeypatch):
+        # a twin pair decided by the residual matrix sends about n^2/2 targets
+        # to the array solver, not n^2; the witnesses are scalar solves
+        targets = 0
+        solve = generators._bracket_invert
+
+        def counted(g, u, tol):
+            nonlocal targets
+            targets += u.size
+            return solve(g, u, tol)
+
+        twins = numeric_twins()
+        P, R = twins[0], twins[5]
+        n = map_samples(ordering._section3_map(P, R, DEFAULT_TOL), GRID).size
+        monkeypatch.setattr(generators, "_bracket_invert", counted)
+        v = compare(P, R, GRID)
+        assert (v.relation, v.criterion) == (INCOMPARABLE, "subadditivity_test")
+        assert 0 < targets <= 0.6 * n * n
+
+
+class TestPointWitnesses:
+    """Witnesses come from each TSubnorm's point kernel, bit for bit the old
+    array form; fixtures keep the array form (Yager rounds differently on 0-d
+    inputs)."""
+
+    # yager(0.7) at (0.6, 0.7) rounds differently on 0-d inputs where numpy's
+    # power has a SIMD loop
+    X = np.array([0.0, 1e-6, 0.01, 0.25, 0.5, 0.7, 1.0, 1.0, 0.3, 0.6])
+    Y = np.array([0.5, 0.3, 1.0, 0.25, 0.9, 0.1, 1.0, 0.0, 1e-4, 0.7])
+
+    def operand_pairs(self):
+        closed, twins = catalog(), numeric_twins()
+        yield closed[0], closed[5]
+        yield twins[3], twins[9]
+        yield closed[7], twins[11]
+        for F in (lukasiewicz_fixture(), yager_fixture(2.0), yager_fixture(0.7)):
+            yield closed[9], F
+            yield F, twins[2]
+        for S in (closed[3], twins[10]):
+            yield complete_to_tnorm(S), S
+            yield dual_superconorm(S), closed[1]
+            yield closed[6], complete_to_tnorm(S)
+
+    def test_match_the_array_form(self):
+        for S1, S2 in self.operand_pairs():
+            got = ordering._witnesses(S1, S2, self.X, self.Y, DEFAULT_TOL)
+            want = old_witnesses(S1, S2, self.X, self.Y)
+            assert [tuple(map(float.hex, w)) for w in got] \
+                == [tuple(map(float.hex, w)) for w in want], (S1.label, S2.label)
+
+    def test_sequences_of_python_floats(self):
+        # compare passes lists of scalar inverses
+        S1, S2 = catalog()[0], yager_fixture(2.0)
+        got = ordering._witnesses(S1, S2, [0.25, 0.5], [0.5, 0.75], DEFAULT_TOL)
+        assert got == old_witnesses(S1, S2, np.array([0.25, 0.5]), np.array([0.5, 0.75]))
+        assert all(type(v) is float for w in got for v in w)
+
+
 class TestReferenceVerdicts:
     """compare at GRID against the benchmark's pinned reference verdicts.
 
@@ -790,10 +887,7 @@ class TestReferenceVerdicts:
         assert wrong == []
 
     def test_numeric_twins(self, ref):
-        twins = [from_generator(numeric_inverse(g.fn, g.boundary_at_one, g.label,
-                                                g.family, g.params))
-                 for g in (S.generator for S in catalog())]
-        assert self.disagreements(ref, twins) == []
+        assert self.disagreements(ref, numeric_twins()) == []
 
 
 class TestSerialization:
