@@ -53,15 +53,20 @@ def _triangle_rows(n: int):
 
 class Operator:
     """The protocol: subclasses give per-axis ``values`` and ``combine`` them
-    into S, and ``surface(x, y)`` is ``combine(values(x), values(y))`` (a
-    ``TSubnorm`` takes a point through a float kernel of the same value, and
-    a square from one axis by inverting one triangle and mirroring it)."""
+    into S, and ``surface(x, y)`` is ``combine(values(x), values(y))``.  Two
+    0-d arguments are a point: it runs on 1-element arrays, as numpy's 0-d
+    loops may round differently, and gives a float (a ``TSubnorm`` takes a
+    point through a float kernel of the same value, and a square from one axis
+    by inverting one triangle and mirroring it)."""
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        return self.combine(self.values(x), self.values(y), tol)
+        if np.ndim(x) or np.ndim(y):
+            return self.combine(self.values(x), self.values(y), tol)
+        vx, vy = self.values(np.reshape(x, 1)), self.values(np.reshape(y, 1))
+        return float(self.combine(vx, vy, tol)[0])
 
 
 @dataclass(frozen=True)
@@ -91,7 +96,7 @@ class TSubnorm(Operator):
         """
         xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if xa.ndim or ya.ndim:
-            return super().surface(x, y, tol)
+            return self.combine(self.values(x), self.values(y), tol)
         fx, fy = float(xa), float(ya)
         if not 0.0 <= fx <= 1.0:  # NaN fails
             raise DomainError(f"argument {x!r} outside [0, 1]")

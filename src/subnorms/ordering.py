@@ -18,7 +18,10 @@ equality with a strict t-norm t, through its product isomorphism w = -ln u)
 are subadditivity and linearity of h = s o t^{-1}.  Every named criterion is
 one row of a registry, which :func:`run_criterion` alone runs.  The public
 :func:`compare` samples h once for the equality and ratio certificates and one
-residual matrix of h for both directions, and records which path decided.
+residual matrix of h for both directions, and records which path decided: an
+incomparable verdict is settled on a 14-sample coarse matrix, and the full
+matrix runs only for a one-sided verdict (or coarse witnesses that do not
+reproduce).
 Every matrix of h over sample pairs (compare's, and the criteria's) evaluates
 h on its cells j >= i only and mirrors them: the pair sums and midpoints
 commute bit for bit.  It and the oracle build their (x, y, S1, S2) witnesses
@@ -238,20 +241,12 @@ def serialize_report(r: CriterionReport) -> str:
 
 def _witnesses(S1: Operator, S2: Operator, X, Y,
                tol: ToleranceProfile) -> list[tuple]:
-    """[(x, y, S1(x, y), S2(x, y)), ...] at the points of the sequences X, Y.
-
-    A ``TSubnorm`` takes each point through its float kernel; a ``Fixture``
-    takes X, Y as arrays, as its formula may round differently on numpy's 0-d
-    loops."""
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    xs, ys = X.tolist(), Y.tolist()
-
-    def column(S: Operator) -> list[float]:
-        if isinstance(S, TSubnorm):
-            return [float(S.surface(x, y, tol)) for x, y in zip(xs, ys)]
-        return S.surface(X, Y, tol).tolist()
-
-    return list(zip(xs, ys, column(S1), column(S2)))
+    """[(x, y, S1(x, y), S2(x, y)), ...] at the points of the sequences X, Y,
+    each taken through ``S.surface`` as a point."""
+    xs = np.asarray(X, dtype=float).tolist()
+    ys = np.asarray(Y, dtype=float).tolist()
+    return [(x, y, float(S1.surface(x, y, tol)), float(S2.surface(x, y, tol)))
+            for x, y in zip(xs, ys)]
 
 
 def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
@@ -571,6 +566,25 @@ def family_monotonicity_scan(family: str, fixed_params: dict,
             "chain": chain, "steps": steps}
 
 
+_COARSE_STRIDE = 8  # compare's coarse matrix: every 8th map sample and the last
+
+
+@lru_cache(maxsize=8)
+def _coarse_samples(n: int, stride: int) -> np.ndarray:
+    """The indices 0, stride, 2*stride, ... below n - 1, and n - 1."""
+    idx = np.append(np.arange(0, n - 1, stride), n - 1)
+    idx.setflags(write=False)
+    return idx
+
+
+def _matrix_witnesses(S1: TSubnorm, S2: TSubnorm, m: ComposedMap, fwd, rev,
+                      tol: ToleranceProfile) -> list[tuple]:
+    """(x, y, S1, S2) at (x, y) = g2^{-1}(u_i, u_j) of fwd and of rev: four
+    scalar inverses."""
+    X, Y = [[ginvert(m.rhs, w[k], tol) for w in (fwd, rev)] for k in (0, 1)]
+    return _witnesses(S1, S2, X, Y, tol)
+
+
 def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             tol: ToleranceProfile = DEFAULT_TOL) -> ComparisonVerdict:
     """Public order query: equality and ratio certificates, then the exact test.
@@ -591,6 +605,12 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     are the tightest point of EQUAL, DOMINATED and DOMINATES, and one per
     direction for INCOMPARABLE; a violation without a strict S1 > S2 at its
     point (S2 > S1 reversed) makes the verdict UNKNOWN.
+
+    R is first built on a coarse sample, every ``_COARSE_STRIDE``-th u and
+    the last (14 of the 104 samples at ``uniform(101)``).  If both directions
+    fail there and both coarse witnesses reproduce strictly, the verdict is
+    INCOMPARABLE with those witnesses; otherwise the full matrix decides as
+    above, so only an incomparable verdict is settled on the coarse matrix.
     :class:`Fixture` operands get the oracle.
     """
     if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
@@ -606,11 +626,17 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     for falling, relation in ((False, DOMINATED), (True, DOMINATES)):
         if _monotone_scan(*profile, margin, falling)[0]:
             return ComparisonVerdict(relation, [], "ratio_criterion", margin)
+    c = _coarse_samples(u.size, _COARSE_STRIDE)
+    R, allow, U, V = _pair_residuals(u.take(c), hu.take(c), m, np.add, _excess, margin)
+    if (R > allow).any() and (-R > allow).any():  # both fail; NaN holds both
+        fwd, rev = _within(R, allow, U, V)[1], _within(-R, allow, U, V)[1]
+        wits = _matrix_witnesses(S1, S2, m, fwd, rev, tol)
+        (*_, s1f, s2f), (*_, s1r, s2r) = wits
+        if s1f > s2f and s2r > s1r:
+            return ComparisonVerdict(INCOMPARABLE, wits, "subadditivity_test", margin)
     R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
     (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)
-    # X = (x_fwd, x_rev), Y = (y_fwd, y_rev): four scalar inverses
-    X, Y = [[ginvert(m.rhs, w[k], tol) for w in (fwd, rev)] for k in (0, 1)]
-    wits = _witnesses(S1, S2, X, Y, tol)
+    wits = _matrix_witnesses(S1, S2, m, fwd, rev, tol)
     relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),
                       (True, False): (DOMINATED, [0]), (False, True): (DOMINATES, [1]),
                       (False, False): (INCOMPARABLE, [0, 1])}[below, above]

@@ -227,6 +227,19 @@ class TestFixtures:
         assert T(0.7, 0.8) == pytest.approx(0.5)
         assert T(0.3, 0.3) == 0.0
 
+    @pytest.mark.parametrize("F", [
+        yager_fixture(0.7), yager_fixture(2.0), lukasiewicz_fixture(),
+        complete_to_tnorm(catalog()[3]), dual_superconorm(catalog()[5])],
+        ids=["yager0.7", "yager2", "lukasiewicz", "completion", "dual"])
+    def test_point_matches_one_element_arrays(self, F):
+        # numpy's 0-d power rounds differently from its array loops (yager(0.7)
+        # at (0.6, 0.7)); a point runs on 1-element arrays and gives a float
+        rng = np.random.default_rng(7)
+        for x, y in rng.uniform(0.0, 1.0, size=(2000, 2)).tolist():
+            got = evaluate(F, x, y)
+            want = F.surface(np.array([x]), np.array([y]))[0]
+            assert type(got) is float and got.hex() == float(want).hex(), (x, y)
+
 
 class TestParameterDomains:
     # each rejected spec with its exact message

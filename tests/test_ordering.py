@@ -704,8 +704,23 @@ FLIP = {DOMINATED: DOMINATES, DOMINATES: DOMINATED, EQUAL: EQUAL,
         INCOMPARABLE: INCOMPARABLE}
 
 
+def residual_sizes(monkeypatch) -> list[int]:
+    """The sample count n of each ``_pair_residuals`` call, appended as it runs."""
+    sizes = []
+    build = ordering._pair_residuals
+
+    def counted(u, *args):
+        sizes.append(u.size)
+        return build(u, *args)
+
+    monkeypatch.setattr(ordering, "_pair_residuals", counted)
+    return sizes
+
+
 class TestResidualMatrix:
-    """compare's exact step: one residual matrix of h decides both directions."""
+    """compare's exact step: one residual matrix of h decides both directions;
+    an incomparable verdict is settled on a 14-sample coarse matrix, and the
+    full matrix runs only for a one-sided verdict."""
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_oracle_miss_is_incomparable(self, swap):
@@ -724,14 +739,17 @@ class TestResidualMatrix:
 
     def test_violation_that_does_not_reproduce_is_unknown(self, monkeypatch):
         # R finds a violation in each direction; surfaces that show neither
-        # S1 > S2 nor S1 < S2 at the witnesses make the verdict unknown
+        # S1 > S2 nor S1 < S2 at the witnesses make the verdict unknown, and
+        # the coarse matrix, whose witnesses do not reproduce, falls through
         P = make_family(FamilySpec("product"))
         R = make_family(FamilySpec("rational", {"a": 0.5}))
         monkeypatch.setattr(TSubnorm, "surface", lambda self, x, y, tol=None:
                             np.zeros(np.broadcast(x, y).shape))
+        sizes = residual_sizes(monkeypatch)
         v = compare(P, R, GRID)
         assert (v.relation, v.criterion) == (UNKNOWN, "subadditivity_test")
         assert [(lhs, rhs) for _, _, lhs, rhs in v.witnesses] == [(0.0, 0.0)] * 2
+        assert sizes == [14, 104]
 
     def test_swapping_mirrors_the_verdict(self):
         signs = {DOMINATED: [-1.0], DOMINATES: [1.0], INCOMPARABLE: [1.0, -1.0]}
@@ -795,8 +813,9 @@ class TestTriangleOfH:
             assert allow.tobytes() == want.tobytes()
 
     def test_compare_inverts_one_triangle(self, monkeypatch):
-        # a twin pair decided by the residual matrix sends about n^2/2 targets
-        # to the array solver, not n^2; the witnesses are scalar solves
+        # an incomparable twin pair is settled on the coarse matrix: one
+        # triangle of 14 samples and the n values h(u) go to the array solver,
+        # not n^2/2 targets; the witnesses are scalar solves
         targets = 0
         solve = generators._bracket_invert
 
@@ -811,16 +830,68 @@ class TestTriangleOfH:
         monkeypatch.setattr(generators, "_bracket_invert", counted)
         v = compare(P, R, GRID)
         assert (v.relation, v.criterion) == (INCOMPARABLE, "subadditivity_test")
-        assert 0 < targets <= 0.6 * n * n
+        assert 0 < targets <= 0.05 * n * n
+
+
+class TestCoarseMatrix:
+    """compare settles an incomparable pair on every 8th map sample and the
+    last (14 of 104), when both coarse witnesses reproduce; every other
+    verdict comes from the full matrix, as with a stride of 1."""
+
+    KINDS = {"closed": catalog, "numeric": numeric_twins}
+
+    @staticmethod
+    def pairs(members):
+        return [(S1, S2) for S1 in members for S2 in members if S1 is not S2]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_incomparable_pairs_skip_the_full_matrix(self, kind, monkeypatch):
+        sizes = residual_sizes(monkeypatch)
+        settled = 0
+        for S1, S2 in self.pairs(self.KINDS[kind]()):
+            sizes.clear()
+            v = compare(S1, S2, GRID)
+            if v.relation != INCOMPARABLE:
+                continue
+            assert sizes == [14], (S1.label, S2.label)
+            (_, _, a1, b1), (_, _, a2, b2) = v.witnesses
+            assert a1 > b1 and a2 < b2
+            for x, y, lhs, rhs in v.witnesses:
+                assert (S1(x, y), S2(x, y)) == (lhs, rhs)
+            settled += 1
+        assert settled == 52
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_sided_pairs_build_the_full_matrix(self, kind, monkeypatch):
+        sizes = residual_sizes(monkeypatch)
+        records = []
+        for S1, S2 in self.pairs(self.KINDS[kind]()):
+            sizes.clear()
+            v = compare(S1, S2, GRID)
+            if v.criterion == "subadditivity_test" and v.relation in (DOMINATED, DOMINATES):
+                assert sizes == [14, 104], (S1.label, S2.label)
+                records.append((S1, S2, serialize_verdict(v)))
+        assert len(records) == 4
+        monkeypatch.setattr(ordering, "_COARSE_STRIDE", 1)
+        for S1, S2, text in records:
+            assert serialize_verdict(compare(S1, S2, GRID)) == text
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_relations_do_not_depend_on_the_stride(self, kind, monkeypatch):
+        pairs = self.pairs(self.KINDS[kind]())
+        default = [compare(S1, S2, GRID).relation for S1, S2 in pairs]
+        monkeypatch.setattr(ordering, "_COARSE_STRIDE", 1)
+        assert [compare(S1, S2, GRID).relation for S1, S2 in pairs] == default
+        assert UNKNOWN not in default
 
 
 class TestPointWitnesses:
-    """Witnesses come from each TSubnorm's point kernel, bit for bit the old
-    array form; fixtures keep the array form (Yager rounds differently on 0-d
-    inputs)."""
+    """Witnesses are points through each operand's ``surface``, bit for bit
+    the old array form: a TSubnorm's float kernel, and a fixture on 1-element
+    arrays."""
 
-    # yager(0.7) at (0.6, 0.7) rounds differently on 0-d inputs where numpy's
-    # power has a SIMD loop
+    # yager(0.7) at (0.6, 0.7) rounds differently on 0-d inputs than on
+    # arrays, where numpy's power has a SIMD loop
     X = np.array([0.0, 1e-6, 0.01, 0.25, 0.5, 0.7, 1.0, 1.0, 0.3, 0.6])
     Y = np.array([0.5, 0.3, 1.0, 0.25, 0.9, 0.1, 1.0, 0.0, 1e-4, 0.7])
 
