@@ -25,8 +25,10 @@ reproduce).
 Every matrix of h over sample pairs (compare's, and the criteria's) evaluates
 h on its cells j >= i only and mirrors them: the pair sums and midpoints
 commute bit for bit.  It and the oracle build their (x, y, S1, S2) witnesses
-with one helper, on the point kernel of each ``TSubnorm``; compare's witness
-coordinates are scalar inverses, solved in float steps.
+with one helper, on the point kernel of each ``TSubnorm``.  compare reads its
+witness coordinates off x = s2^{-1}(u) at the witness cell; the sample (u, x)
+depends on the right operand alone, and without a closed s2^{-1} it is kept
+on that operand across calls.
 """
 
 from __future__ import annotations
@@ -174,6 +176,12 @@ def compose(s1: Generator, s2: Generator,
     return ComposedMap(s1, s2, tol)
 
 
+def _samples(g: Generator, grid: IntervalGrid) -> np.ndarray:
+    """The finite values of s = g on ``grid.axis``, sorted and unique."""
+    u = geval(g, grid.axis)
+    return _unique(u[np.isfinite(u)])
+
+
 def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
     """Abscissae for criterion scans: u = s2(x) over ``grid.axis``.
 
@@ -181,8 +189,7 @@ def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
     u ~ s2(1e-6); the exact infinity branch is handled separately
     (h(inf) = inf makes subadditivity trivial).
     """
-    u = geval(m.rhs, grid.axis)
-    return _unique(u[np.isfinite(u)])
+    return _samples(m.rhs, grid)
 
 
 def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -326,16 +333,16 @@ def equality_test(m: ComposedMap, grid: IntervalGrid,
     return _report("equality_test", linear, wc, c=c)
 
 
-def _linear_fit(m: ComposedMap, u, hu, margin) -> tuple[bool, tuple, float]:
+def _linear_fit(h: Callable, u, hu, margin) -> tuple[bool, tuple, float]:
     """(h = c*u with c > 0 on the samples, witness, c) for c = h(u0)/u0 at the
     median positive sample u0 (:func:`map_samples` always has one, sorted, so
     u0 is read off as ``np.median`` computes it); h(u0) is read from hu when u0
-    is itself a sample (an odd count)."""
+    is itself a sample (an odd count), and is the float h(u0) otherwise."""
     pos = u > 0
     up = u[pos]
     k = up.size // 2
     u0 = float(up[k] if up.size % 2 else (up[k - 1] + up[k]) / 2)
-    c = float(hu[pos][k] if up.size % 2 else m(u0)) / u0
+    c = float(hu[pos][k] if up.size % 2 else h(u0)) / u0
     linear, wc = _worst(np.abs(hu - c * u), margin * np.maximum(1.0, np.abs(u)), u)
     return c > 0 and linear, wc, c
 
@@ -460,12 +467,20 @@ def proper_never_dominates_tnorm_check(
 # dispatch, family scans, public compare
 
 
+def _normalized(S: TSubnorm) -> Generator:
+    """S's generator, normalized if S is proper; built once per operand, so a
+    generator without a closed inverse keeps its bracket tables."""
+    g = S._memo.get("normalized")
+    if g is None:
+        g = S._memo["normalized"] = normalize(S.generator) if S.is_proper else S.generator
+    return g
+
+
 def _section3_map(S1: TSubnorm, S2: TSubnorm, tol: ToleranceProfile) -> ComposedMap:
     """h = g1 o g2^{-1} for the generators of S1, S2, normalized if proper."""
     if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
         raise ParameterError("named criteria need generator-backed operands")
-    g1, g2 = (normalize(S.generator) if S.is_proper else S.generator for S in (S1, S2))
-    return compose(g1, g2, tol)
+    return compose(_normalized(S1), _normalized(S2), tol)
 
 
 def _proper_over_strict(S: TSubnorm, T: TSubnorm,
@@ -475,7 +490,7 @@ def _proper_over_strict(S: TSubnorm, T: TSubnorm,
         return "right operand is not a strict t-norm"
     if not (isinstance(S, TSubnorm) and S.is_proper):
         return "left operand is not proper"
-    return compose(normalize(S.generator), T.generator, tol)
+    return compose(_normalized(S), T.generator, tol)
 
 
 def _over_strict(S: TSubnorm, T: TSubnorm,
@@ -577,12 +592,42 @@ def _coarse_samples(n: int, stride: int) -> np.ndarray:
     return idx
 
 
-def _matrix_witnesses(S1: TSubnorm, S2: TSubnorm, m: ComposedMap, fwd, rev,
-                      tol: ToleranceProfile) -> list[tuple]:
-    """(x, y, S1, S2) at (x, y) = g2^{-1}(u_i, u_j) of fwd and of rev: four
-    scalar inverses."""
-    X, Y = [[ginvert(m.rhs, w[k], tol) for w in (fwd, rev)] for k in (0, 1)]
-    return _witnesses(S1, S2, X, Y, tol)
+class _RhsSample:
+    """The right operand's side of :func:`compare` on one grid and tolerance:
+    u = :func:`map_samples` of g2 and x = g2^{-1}(u).  Other inverses of g2
+    (the fit's median u0, the coarse pair sums) are solved on first use and
+    kept, keyed by their exact values."""
+
+    def __init__(self, g: Generator, grid: IntervalGrid, tol: ToleranceProfile):
+        self.g, self.tol = g, tol
+        self.u = _samples(g, grid)
+        self.x = ginvert(g, self.u, tol)
+        self.x.setflags(write=False)
+        self._solved: dict = {}
+
+    def invert(self, v):
+        """g2^{-1}(v) for a float or a 1-d array v, solved once per value."""
+        key = v.hex() if isinstance(v, float) else v.tobytes()
+        x = self._solved.get(key)
+        if x is None:
+            x = self._solved[key] = ginvert(self.g, v, self.tol)
+            if not isinstance(x, float):
+                x.setflags(write=False)
+        return x
+
+
+def _rhs_sample(S2: TSubnorm, g2: Generator, grid: IntervalGrid,
+                tol: ToleranceProfile) -> _RhsSample:
+    """S2's side of compare for g2 = its normalized generator.  Without a
+    closed inverse it is kept on S2 in one slot, keyed by the axis values and
+    the tolerance, so each of S2's pairs reuses the solves of the first."""
+    if g2.inverse_fn is not None:
+        return _RhsSample(g2, grid, tol)
+    key = (grid.axis.tobytes(), tol)
+    slot = S2._memo.get("rhs")
+    if slot is None or slot[0] != key:
+        slot = S2._memo["rhs"] = (key, _RhsSample(g2, grid, tol))
+    return slot[1]
 
 
 def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
@@ -590,8 +635,12 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     """Public order query: equality and ratio certificates, then the exact test.
 
     For generator-backed operands, h = g1 o g2^{-1} (normalized pair) is sampled
-    once: u = :func:`map_samples` evaluates g2 and hu = h(u) evaluates g1.  The
-    sample serves the equality fit, the ratio profile h(u)/u on u > 0 (the
+    once: u = :func:`map_samples` and x = g2^{-1}(u) depend on S2 alone, and
+    hu = h(u) = g1(x).  Where g2 has no closed inverse, u, x and the other
+    inverses of g2 that compare solves before the full matrix (the fit's median
+    and the coarse pair sums) are kept on S2 for the next call on the same grid
+    axis and tolerance (:class:`_RhsSample`).  The sample serves the equality
+    fit, the ratio profile h(u)/u on u > 0 (the
     generator ratio g1/g2 at u = g2(x): non-increasing gives S1 <= S2,
     non-decreasing S2 <= S1) and R = h(u_i + u_j) - h(u_i) - h(u_j):
     S1 <= S2 iff R <= slack (h subadditive), S2 <= S1 iff -R <= slack (h^{-1}
@@ -600,9 +649,9 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     h(u_i + u_j) are evaluated on the cells j >= i and mirrored
     (:func:`_pair_residuals`).  R is NaN only where h(u_i) + h(u_j) = inf
     forces h(u_i + u_j) = inf, the exact infinity branch: both hold there.
-    Witnesses (x, y, S1, S2) at (x, y) = g2^{-1}(u_i, u_j), four scalar
-    ``ginvert`` calls in float steps, with S1 and S2 from their point kernels,
-    are the tightest point of EQUAL, DOMINATED and DOMINATES, and one per
+    Witnesses (x, y, S1, S2) at (x, y) = (x_i, x_j), read from x at the
+    witness cell, with S1 and S2 from their point kernels, are the tightest
+    point of EQUAL, DOMINATED and DOMINATES, and one per
     direction for INCOMPARABLE; a violation without a strict S1 > S2 at its
     point (S2 > S1 reversed) makes the verdict UNKNOWN.
 
@@ -617,26 +666,35 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
         return direct_compare(S1, S2, grid, tol)
     margin = tol.verdict_margin
     m = _section3_map(S1, S2, tol)
-    u = map_samples(m, grid)
-    hu = m(u)
-    if _linear_fit(m, u, hu, margin)[0]:
+    side = _rhs_sample(S2, m.rhs, grid, tol)
+    u, x = side.u, side.x
+    hu = geval(m.lhs, x)
+
+    def h(v):  # h on inverses of g2 kept by the sample
+        return geval(m.lhs, side.invert(v))
+
+    if _linear_fit(h, u, hu, margin)[0]:
         return ComparisonVerdict(EQUAL, [], "equality_test", margin)
     pos = u > 0
     profile = u[pos], hu[pos] / u[pos]
     for falling, relation in ((False, DOMINATED), (True, DOMINATES)):
         if _monotone_scan(*profile, margin, falling)[0]:
             return ComparisonVerdict(relation, [], "ratio_criterion", margin)
+    # witnesses (x_i, x_j, residual): each matrix is read on x, not on u
     c = _coarse_samples(u.size, _COARSE_STRIDE)
-    R, allow, U, V = _pair_residuals(u.take(c), hu.take(c), m, np.add, _excess, margin)
+    R, allow, _, _ = _pair_residuals(u.take(c), hu.take(c), h, np.add, _excess, margin)
     if (R > allow).any() and (-R > allow).any():  # both fail; NaN holds both
-        fwd, rev = _within(R, allow, U, V)[1], _within(-R, allow, U, V)[1]
-        wits = _matrix_witnesses(S1, S2, m, fwd, rev, tol)
+        xc = x.take(c)
+        X, Y = xc[:, None], xc[None, :]
+        fwd, rev = _within(R, allow, X, Y)[1], _within(-R, allow, X, Y)[1]
+        wits = _witnesses(S1, S2, *zip(fwd[:2], rev[:2]), tol)
         (*_, s1f, s2f), (*_, s1r, s2r) = wits
         if s1f > s2f and s2r > s1r:
             return ComparisonVerdict(INCOMPARABLE, wits, "subadditivity_test", margin)
-    R, allow, U, V = _pair_residuals(u, hu, m, np.add, _excess, margin)
-    (below, fwd), (above, rev) = _within(R, allow, U, V), _within(-R, allow, U, V)
-    wits = _matrix_witnesses(S1, S2, m, fwd, rev, tol)
+    R, allow, _, _ = _pair_residuals(u, hu, m, np.add, _excess, margin)
+    X, Y = x[:, None], x[None, :]
+    (below, fwd), (above, rev) = _within(R, allow, X, Y), _within(-R, allow, X, Y)
+    wits = _witnesses(S1, S2, *zip(fwd[:2], rev[:2]), tol)
     relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),
                       (True, False): (DOMINATED, [0]), (False, True): (DOMINATES, [1]),
                       (False, False): (INCOMPARABLE, [0, 1])}[below, above]

@@ -59,7 +59,7 @@ from subnorms.ordering import (
 )
 from subnorms.cli import main, parse_operator_spec
 from subnorms import generators, operators, ordering
-from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK, ToleranceProfile
+from subnorms.generators import DEFAULT_TOL, SOLVER_CHUNK, ToleranceProfile, ginvert
 from subnorms.operators import Fixture, TSubnorm
 from subnorms import verify
 from subnorms.verify import psi_shifted_generator, remark_fixture_maps
@@ -813,9 +813,9 @@ class TestTriangleOfH:
             assert allow.tobytes() == want.tobytes()
 
     def test_compare_inverts_one_triangle(self, monkeypatch):
-        # an incomparable twin pair is settled on the coarse matrix: one
-        # triangle of 14 samples and the n values h(u) go to the array solver,
-        # not n^2/2 targets; the witnesses are scalar solves
+        # an incomparable twin pair is settled on the coarse matrix: the n
+        # samples x = g2^{-1}(u) and one triangle of 14 samples go to the array
+        # solver, not n^2/2 targets; the witness coordinates are read off x
         targets = 0
         solve = generators._bracket_invert
 
@@ -830,7 +830,110 @@ class TestTriangleOfH:
         monkeypatch.setattr(generators, "_bracket_invert", counted)
         v = compare(P, R, GRID)
         assert (v.relation, v.criterion) == (INCOMPARABLE, "subadditivity_test")
-        assert 0 < targets <= 0.05 * n * n
+        assert targets == n + 14 * 15 // 2
+
+
+def fresh(S: TSubnorm) -> TSubnorm:
+    """S rebuilt from a copy of its generator: no tables and an empty memo."""
+    return from_generator(replace(S.generator))
+
+
+class TestRightOperandSample:
+    """compare keeps a solver-backed right operand's sample (u, x = g2^{-1}(u)
+    and the inverses solved before the full matrix) on the operand, per grid
+    axis and tolerance: the records equal those of fresh operands, and a warm
+    call solves only what the full matrix needs."""
+
+    def test_records_match_fresh_operands(self):
+        fine = ToleranceProfile(inversion_tol=1e-10)
+        grids = [IntervalGrid.uniform(101), IntervalGrid.uniform(201),
+                 IntervalGrid.random(101, np.random.default_rng(0))]
+        tols = (DEFAULT_TOL, fine)
+        # the axis changes at a fixed tolerance, then the tolerance at a fixed axis
+        settings = ([(grid, tol) for tol in tols for grid in grids]
+                    + [(grid, tol) for grid in grids for tol in tols])
+        twins, closed = numeric_twins(), catalog()
+        # incomparable on the coarse matrix, a log_sub twin on the right, a
+        # one-sided pair that needs the full matrix, and two pairs whose
+        # records differ from grid to grid
+        pairs = [(twins[0], twins[5]), (twins[0], twins[11]), (twins[12], twins[10]),
+                 (twins[3], twins[5]), (twins[12], twins[5]), (closed[0], closed[5])]
+        compare(*pairs[0], GRID)
+        # an operand rebuilt with another generator starts with an empty memo
+        swapped = replace(twins[5], generator=twins[12].generator)
+        assert not swapped._memo
+        pairs.append((twins[0], swapped))
+        for grid, tol in settings:
+            for S1, S2 in pairs:
+                want = compare(fresh(S1), fresh(S2), grid, tol)
+                assert repr(compare(S1, S2, grid, tol)) == repr(want), \
+                    (S1.label, S2.label, grid.points.size, tol)
+                # the kept sample is solved at this call's tolerance, which
+                # these records do not show
+                g2 = ordering._normalized(S2)
+                side = ordering._rhs_sample(S2, g2, grid, tol)
+                assert side.x.tobytes() == ginvert(g2, side.u, tol).tobytes()
+        assert "rhs" in twins[5]._memo and "rhs" not in closed[5]._memo
+
+    def test_warm_compare_solves_only_the_full_matrix(self, monkeypatch):
+        # ginvert's solvers, patched in generators, count compare's own
+        # inverses of g2; the witness values S(x, y) come from each operand's
+        # point kernel, which solves one target per point
+        twins = numeric_twins()
+        pairs = [(S1, S2) for S1 in twins for S2 in twins if S1 is not S2]
+        for S1, S2 in pairs:
+            compare(S1, S2, GRID)
+        counts = {}
+        bracket, point = generators._bracket_invert, generators._invert_point
+
+        def counted(key, solve, size):
+            def run(g, u, tol):
+                counts[key] += size(u)
+                return solve(g, u, tol)
+            return run
+
+        monkeypatch.setattr(generators, "_bracket_invert",
+                            counted("ginvert", bracket, np.size))
+        monkeypatch.setattr(generators, "_invert_point",
+                            counted("ginvert", point, lambda u: 1))
+        monkeypatch.setattr(operators, "_invert_point",
+                            counted("kernel", point, lambda u: 1))
+        sizes = residual_sizes(monkeypatch)
+        full = 0
+        for S1, S2 in pairs:
+            sizes.clear()
+            counts.update(ginvert=0, kernel=0)
+            v = compare(S1, S2, GRID)
+            if len(sizes) == 2:
+                full += 1
+                assert counts["ginvert"] > 0
+                continue
+            assert counts["ginvert"] == 0, (S1.label, S2.label)
+            assert counts["kernel"] <= 2 * len(v.witnesses)
+        assert full == 4
+
+    def test_second_pass_builds_no_table(self, monkeypatch):
+        # the normalized generator is kept on the operand, so the two log_sub
+        # twins (s(1) != 1) build their normalized table once, not per pair
+        builds = 0
+        table = generators._table
+
+        def counted(g, eps):
+            nonlocal builds
+            builds += eps not in g._tables
+            return table(g, eps)
+
+        monkeypatch.setattr(generators, "_table", counted)
+        twins = numeric_twins()
+        passes = []
+        for _ in range(2):
+            builds = 0
+            for S1 in twins:
+                for S2 in twins:
+                    if S1 is not S2:
+                        compare(S1, S2, GRID)
+            passes.append(builds)
+        assert passes == [2, 0]
 
 
 class TestCoarseMatrix:
