@@ -25,6 +25,7 @@ from .ordering import (
     _convexity_gap,
     _midpoint,
     _monotone_scan,
+    _pair_matrix,
     _profile,
     _slack,
     direct_compare,
@@ -179,9 +180,8 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
 
     # h once on the midpoint matrix, for the convexity of phi (slack relative
     # to |phi|) and the concavity of h; NaN residuals fail both
-    U, V = u[:, None], u[None, :]
-    W = _midpoint(U, V)
-    hw = m(W)
+    W = _midpoint(u[:, None], u[None, :])
+    hw = _pair_matrix(u, m, _midpoint)
     HU, HV, PU, PV = hu[:, None], hu[None, :], phi[:, None], phi[None, :]
     phi_convex, _ = _worst(_convexity_gap(hw / W, PU, PV),
                            margin * np.maximum(1.0, np.abs(PU) + np.abs(PV)))

@@ -353,6 +353,19 @@ def _invert_point(g: Generator, u: float, tol: ToleranceProfile) -> float:
     return 0.5 * (a + b)
 
 
+def _invert_float(g: Generator, u: float, tol: ToleranceProfile) -> float:
+    """s^{-1}(u) for a float u in [s(1), inf], as ``ginvert`` gives it on [u]:
+    inf gives 0; a closed inverse runs on [u], clipped to [0, 1] with NaN
+    giving 0 and -0.0 kept; otherwise :func:`_invert_point` solves.  It opens
+    no ``np.errstate``; callers that may reach a closed inverse open one."""
+    if u == INF:
+        return 0.0
+    if g.inverse_fn is None:
+        return _invert_point(g, u, tol)
+    x = float(np.asarray(g.inverse_fn(np.array([u])), dtype=float)[0])
+    return min(x, 1.0) if x >= 0.0 else 0.0
+
+
 def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
     """Invert s on its range [s(1), inf]; u = inf maps to 0.
 
@@ -360,9 +373,7 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
     solved to within inversion_tol / 2 by a bracketed root finder.  A given
     ``out`` (u's shape; u itself allowed) is clamped into and inverted in place.
     A scalar u is clamped as [u] (numpy's 0-d loops may round differently) and
-    then solved in float steps, bit-identical to the 1-element array: a closed
-    inverse is evaluated on the clamped [u], and the root finder is
-    :func:`_invert_point`.
+    then inverted in float steps by :func:`_invert_float`.
     """
     arr, scalar = _as_1d(u)
     low = arr.min(initial=INF)
@@ -373,14 +384,8 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
             f"value {low!r} below s(1) = {g.boundary_at_one}; use pseudo_invert")
     out = np.maximum(arr, g.boundary_at_one, out=out)
     if scalar:
-        v = float(out[0])
-        if v == INF:
-            return 0.0
-        if g.inverse_fn is None:
-            return _invert_point(g, v, tol)
         with np.errstate(all="ignore"):
-            x = float(np.asarray(g.inverse_fn(out), dtype=float)[0])
-        return min(x, 1.0) if x >= 0.0 else 0.0  # np.clip keeps -0.0; NaN gives 0
+            return _invert_float(g, float(out[0]), tol)
     if g.inverse_fn is None:
         fin = np.isfinite(out)
         if fin.any():  # the solver's table costs hundreds of fn points
@@ -392,7 +397,7 @@ def ginvert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):
         bad = out == INF
         np.clip(vals, 0.0, 1.0, out=out)  # NaN stays NaN
         np.copyto(out, 0.0, where=bad | np.isnan(out))
-    return float(out[0]) if scalar else out
+    return out
 
 
 def pseudo_invert(g: Generator, u, tol: ToleranceProfile = DEFAULT_TOL, out=None):

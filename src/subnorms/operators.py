@@ -30,7 +30,7 @@ from .generators import (
     IntervalGrid,
     ParameterError,
     ToleranceProfile,
-    _invert_point,
+    _invert_float,
     closed_form,
     geval,
     pseudo_invert,
@@ -89,13 +89,10 @@ class TSubnorm(Operator):
 
         A point runs one float kernel: s once on the 2-element array [x, y],
         then ``geval``'s rule (x = 0 or a NaN value gives inf), u = s(x) + s(y),
-        ``pseudo_invert``'s rule (1 at or below s(1)), and s^{-1} once on [u]
-        with ``ginvert``'s rules (inf and NaN give 0, clip to [0, 1]).  Without
-        a closed s^{-1}, u is solved in float steps on the generator's bracket
-        table, which is evaluated once per generator and tolerance
-        (``generators._invert_point``).  Its value is bit-identical to
-        ``combine`` on 1-element arrays; numpy's 0-d loops may round
-        differently, so s and s^{-1} still see arrays.
+        ``pseudo_invert``'s rule (1 at or below s(1)), and above it the float
+        inverse of a scalar ``ginvert`` (``generators._invert_float``).  It is
+        bit-identical to ``combine`` on 1-element arrays; numpy's 0-d loops may
+        round differently, so s and s^{-1} still see arrays.
         """
         xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         if xa.ndim or ya.ndim:
@@ -110,16 +107,11 @@ class TSubnorm(Operator):
             sx, sy = np.asarray(g.fn(np.array([fx, fy])), dtype=float).tolist()
             # geval: x = 0 or a NaN value gives inf
             u = (INF if fx == 0.0 or sx != sx else sx) + (INF if fy == 0.0 or sy != sy else sy)
-            if b < u < INF and g.inverse_fn is not None:
-                v = float(np.asarray(g.inverse_fn(np.array([u])), dtype=float)[0])
-                return min(v, 1.0) if v >= 0.0 else 0.0  # ginvert: clip, NaN gives 0
-        if u != u:  # inf + -inf
-            raise DomainError("cannot pseudo-invert NaN")
-        if u <= b:  # pseudo_invert: 1 at or below s(1)
-            return 1.0
-        if u == INF:  # ginvert: inf gives 0
-            return 0.0
-        return _invert_point(g, u, tol)
+            if u != u:  # inf + -inf
+                raise DomainError("cannot pseudo-invert NaN")
+            if u <= b:  # pseudo_invert: 1 at or below s(1)
+                return 1.0
+            return _invert_float(g, u, tol)
 
     def values(self, x):
         return geval(self.generator, x)

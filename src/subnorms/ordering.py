@@ -21,11 +21,12 @@ one row of a registry, which :func:`run_criterion` alone runs.  The public
 residual matrix of h for both directions, and records which path decided: an
 incomparable verdict is settled on a 14-sample coarse matrix, and the full
 matrix runs only for a one-sided verdict (or coarse witnesses that do not
-reproduce).
-Every matrix of h over sample pairs (compare's, and the criteria's) evaluates
-h on its cells j >= i only and mirrors them: the pair sums and midpoints
-commute bit for bit.  It and the oracle build their (x, y, S1, S2) witnesses
-with one helper, on the point kernel of each ``TSubnorm``.  compare reads its
+reproduce).  Every matrix of h over sample pairs (compare's, the criteria's,
+the Section 4 midpoint matrix) goes through one kernel that evaluates h on its
+cells j >= i only and mirrors them: pair sums and midpoints commute bit for
+bit.  One helper gives the verdict of both of compare's matrices; it and the
+oracle read one relation table and build their (x, y, S1, S2) witnesses with
+one helper, on the point kernel of each ``TSubnorm``.  compare reads its
 witness coordinates off x = s2^{-1}(u) at the witness cell; the sample (u, x)
 depends on the right operand alone, and without a closed s2^{-1} it is kept
 on that operand across calls.
@@ -66,6 +67,10 @@ DOMINATED = "dominated"
 EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 UNKNOWN = "unknown"
+
+# (S1 <= S2 holds, S2 <= S1 holds) -> relation, for the oracle and the matrix
+_RELATION = {(True, True): EQUAL, (True, False): DOMINATED,
+             (False, True): DOMINATES, (False, False): INCOMPARABLE}
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -110,21 +115,23 @@ def _triangle_cells(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return cells
 
 
-def _pair_residuals(u, fu, f, combine, residual, margin) -> tuple:
-    """residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) on all sample pairs, its
-    allowance _slack(margin, f(u_i), f(u_j)) and the axes u_i, u_j.
-
-    combine commutes bit for bit (``np.add``, :func:`_midpoint`) and each value
-    of f depends on its own argument alone, so f is evaluated on the cells
-    j >= i only and each value is written to (i, j) and (j, i); the residual
-    and its allowance run on the full square."""
+def _pair_matrix(u, f, combine) -> np.ndarray:
+    """f(combine(u_i, u_j)) on all sample pairs.  combine commutes bit for bit
+    (``np.add``, :func:`_midpoint`) and each value of f depends on its own
+    argument alone, so f runs on the cells j >= i only and each value is
+    written to (i, j) and (j, i)."""
     n = u.size
     i, j, upper, lower = _triangle_cells(n)
     fc = np.empty(n * n)
     fc[upper] = fc[lower] = f(combine(u.take(i), u.take(j)))
-    U, V = u[:, None], u[None, :]
+    return fc.reshape(n, n)
+
+
+def _pair_residuals(u, fu, f, combine, residual, margin) -> tuple:
+    """residual(f(combine(u_i, u_j)), f(u_i), f(u_j)) on all sample pairs and
+    its allowance _slack(margin, f(u_i), f(u_j)), both on the full square."""
     FU, FV = fu[:, None], fu[None, :]
-    return residual(fc.reshape(n, n), FU, FV), _slack(margin, FU, FV), U, V
+    return residual(_pair_matrix(u, f, combine), FU, FV), _slack(margin, FU, FV)
 
 
 def _within(res, allow, *coords) -> tuple[bool, tuple]:
@@ -134,7 +141,8 @@ def _within(res, allow, *coords) -> tuple[bool, tuple]:
 
 def _pair_scan(u, fu, f, combine, residual, margin) -> tuple[bool, tuple]:
     """The pairwise criterion; the witness is (u_i, u_j, residual)."""
-    return _within(*_pair_residuals(u, fu, f, combine, residual, margin))
+    return _within(*_pair_residuals(u, fu, f, combine, residual, margin),
+                   u[:, None], u[None, :])
 
 
 def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
@@ -286,17 +294,10 @@ def direct_compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     top = tops[int(np.argmax([c[0] for c in tops]))]
     low = lows[int(np.argmin([c[0] for c in lows]))]
     m = tol.verdict_margin
-    hi, lo = top[0], low[0]
-    if hi <= m and lo >= -m:
-        # argmax |d| is the larger extreme, the earlier cell on a tie
-        relation = EQUAL
-        cells = [min(top, low, key=lambda c: (-abs(c[0]), c[1:]))]
-    elif hi <= m:
-        relation, cells = DOMINATED, [low]
-    elif lo >= -m:
-        relation, cells = DOMINATES, [top]
-    else:
-        relation, cells = INCOMPARABLE, [top, low]
+    relation = _RELATION[top[0] <= m, low[0] >= -m]
+    # for EQUAL argmax |d|: the larger extreme, the earlier cell on a tie
+    cells = {EQUAL: [min(top, low, key=lambda c: (-abs(c[0]), c[1:]))],
+             DOMINATED: [low], DOMINATES: [top], INCOMPARABLE: [top, low]}[relation]
     i, j = np.array([c[1:] for c in cells]).T
     return ComparisonVerdict(relation, _witnesses(S1, S2, pts[i], pts[j], tol),
                              "direct_compare", m)
@@ -630,6 +631,27 @@ def _rhs_sample(S2: TSubnorm, g2: Generator, grid: IntervalGrid,
     return slot[1]
 
 
+def _matrix_verdict(S1, S2, R, allow, x, tol: ToleranceProfile) -> ComparisonVerdict:
+    """compare's verdict on R = h(u_i + u_j) - h(u_i) - h(u_j) for samples u
+    and x = g2^{-1}(u): S1 <= S2 iff R <= allow, S2 <= S1 iff -R <= allow.
+    Witnesses (x, y, S1, S2) at (x, y) = (x_i, x_j), read from x at the
+    witness cell, with S1 and S2 from their point kernels, are the tightest
+    point of EQUAL, DOMINATED and DOMINATES, and one per direction for
+    INCOMPARABLE; a violation without a strict S1 > S2 at its point (S2 > S1
+    reversed) makes the verdict UNKNOWN."""
+    X, Y = x[:, None], x[None, :]
+    (below, fwd), (above, rev) = _within(R, allow, X, Y), _within(-R, allow, X, Y)
+    wits = _witnesses(S1, S2, *zip(fwd[:2], rev[:2]), tol)
+    relation = _RELATION[below, above]
+    keep = {EQUAL: [int(rev[2] > fwd[2])], DOMINATED: [0], DOMINATES: [1],
+            INCOMPARABLE: [0, 1]}[relation]
+    (*_, s1f, s2f), (*_, s1r, s2r) = wits
+    if (not below and s1f <= s2f) or (not above and s2r <= s1r):
+        relation = UNKNOWN
+    return ComparisonVerdict(relation, [wits[k] for k in keep],
+                             "subadditivity_test", tol.verdict_margin)
+
+
 def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
             tol: ToleranceProfile = DEFAULT_TOL) -> ComparisonVerdict:
     """Public order query: equality and ratio certificates, then the exact test.
@@ -647,19 +669,15 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     subadditive at h(u_i), h(u_j)).  Both compare the same two values, so the
     _slack(margin, h(u_i), h(u_j)) round-off allowance serves both.  The values
     h(u_i + u_j) are evaluated on the cells j >= i and mirrored
-    (:func:`_pair_residuals`).  R is NaN only where h(u_i) + h(u_j) = inf
+    (:func:`_pair_matrix`).  R is NaN only where h(u_i) + h(u_j) = inf
     forces h(u_i + u_j) = inf, the exact infinity branch: both hold there.
-    Witnesses (x, y, S1, S2) at (x, y) = (x_i, x_j), read from x at the
-    witness cell, with S1 and S2 from their point kernels, are the tightest
-    point of EQUAL, DOMINATED and DOMINATES, and one per
-    direction for INCOMPARABLE; a violation without a strict S1 > S2 at its
-    point (S2 > S1 reversed) makes the verdict UNKNOWN.
+    :func:`_matrix_verdict` reads the verdict off R.
 
     R is first built on a coarse sample, every ``_COARSE_STRIDE``-th u and
     the last (14 of the 104 samples at ``uniform(101)``).  If both directions
-    fail there and both coarse witnesses reproduce strictly, the verdict is
-    INCOMPARABLE with those witnesses; otherwise the full matrix decides as
-    above, so only an incomparable verdict is settled on the coarse matrix.
+    fail there and its verdict is INCOMPARABLE, that is the verdict; otherwise
+    the full matrix decides, so only an incomparable verdict is settled on the
+    coarse matrix.
     :class:`Fixture` operands get the oracle.
     """
     if not (isinstance(S1, TSubnorm) and isinstance(S2, TSubnorm)):
@@ -680,26 +698,11 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     for falling, relation in ((False, DOMINATED), (True, DOMINATES)):
         if _monotone_scan(*profile, margin, falling)[0]:
             return ComparisonVerdict(relation, [], "ratio_criterion", margin)
-    # witnesses (x_i, x_j, residual): each matrix is read on x, not on u
     c = _coarse_samples(u.size, _COARSE_STRIDE)
-    R, allow, _, _ = _pair_residuals(u.take(c), hu.take(c), h, np.add, _excess, margin)
+    R, allow = _pair_residuals(u.take(c), hu.take(c), h, np.add, _excess, margin)
     if (R > allow).any() and (-R > allow).any():  # both fail; NaN holds both
-        xc = x.take(c)
-        X, Y = xc[:, None], xc[None, :]
-        fwd, rev = _within(R, allow, X, Y)[1], _within(-R, allow, X, Y)[1]
-        wits = _witnesses(S1, S2, *zip(fwd[:2], rev[:2]), tol)
-        (*_, s1f, s2f), (*_, s1r, s2r) = wits
-        if s1f > s2f and s2r > s1r:
-            return ComparisonVerdict(INCOMPARABLE, wits, "subadditivity_test", margin)
-    R, allow, _, _ = _pair_residuals(u, hu, m, np.add, _excess, margin)
-    X, Y = x[:, None], x[None, :]
-    (below, fwd), (above, rev) = _within(R, allow, X, Y), _within(-R, allow, X, Y)
-    wits = _witnesses(S1, S2, *zip(fwd[:2], rev[:2]), tol)
-    relation, keep = {(True, True): (EQUAL, [int(rev[2] > fwd[2])]),
-                      (True, False): (DOMINATED, [0]), (False, True): (DOMINATES, [1]),
-                      (False, False): (INCOMPARABLE, [0, 1])}[below, above]
-    (*_, s1f, s2f), (*_, s1r, s2r) = wits
-    if (not below and s1f <= s2f) or (not above and s2r <= s1r):
-        relation = UNKNOWN
-    return ComparisonVerdict(relation, [wits[k] for k in keep],
-                             "subadditivity_test", margin)
+        v = _matrix_verdict(S1, S2, R, allow, x.take(c), tol)
+        if v.relation == INCOMPARABLE:
+            return v
+    R, allow = _pair_residuals(u, hu, m, np.add, _excess, margin)
+    return _matrix_verdict(S1, S2, R, allow, x, tol)

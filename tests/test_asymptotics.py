@@ -185,8 +185,11 @@ class TestGrowthPredicates:
         u = map_samples(m, GRID)
         u = u[u > 0]
         section4_equivalences(m, GRID)
-        # both the phi-convexity and the h-concavity scan read one h((u_i + u_j)/2)
-        assert sizes.count(u.size ** 2) == 1
+        # both the phi-convexity and the h-concavity scan read one h((u_i + u_j)/2),
+        # evaluated on the cells j >= i of the pair matrix only
+        n = u.size
+        assert sizes.count(n * (n + 1) // 2) == 1
+        assert n * n not in sizes
 
     def test_growth_check_samples_each_map_once(self, monkeypatch):
         sizes = []

@@ -751,6 +751,25 @@ class TestResidualMatrix:
         assert [(lhs, rhs) for _, _, lhs, rhs in v.witnesses] == [(0.0, 0.0)] * 2
         assert sizes == [14, 104]
 
+    def test_matrix_and_oracle_share_the_relation_table(self, monkeypatch):
+        # with both certificates failing, every catalog pair reaches the
+        # residual matrix, whose verdict must be the oracle's; all four
+        # relations occur, so every row of the table is read by both
+        monkeypatch.setattr(ordering, "_linear_fit", lambda *args: (False, (), 0.0))
+        monkeypatch.setattr(ordering, "_monotone_scan", lambda *args: (False, ()))
+        members = catalog()
+        seen = {}
+        for S1 in members:
+            for S2 in members:
+                if S1 is S2:
+                    continue
+                v = compare(S1, S2, GRID)
+                assert v.criterion == "subadditivity_test"
+                assert v.relation == direct_compare(S1, S2, GRID).relation, \
+                    (S1.label, S2.label, v)
+                seen[v.relation] = seen.get(v.relation, 0) + 1
+        assert seen == {INCOMPARABLE: 52, DOMINATED: 50, DOMINATES: 50, EQUAL: 4}
+
     def test_swapping_mirrors_the_verdict(self):
         signs = {DOMINATED: [-1.0], DOMINATES: [1.0], INCOMPARABLE: [1.0, -1.0]}
         members = catalog()
@@ -804,7 +823,7 @@ class TestTriangleOfH:
         for m in pair_maps(members):
             u = map_samples(m, GRID)
             hu = m(u)
-            fc, allow, U, V = ordering._pair_residuals(
+            fc, allow = ordering._pair_residuals(
                 u, hu, m, combine, lambda fc, fu, fv: fc, DEFAULT_TOL.verdict_margin)
             full = m(combine(u[:, None], u[None, :]))
             assert fc.shape == full.shape == (u.size, u.size)
@@ -878,13 +897,14 @@ class TestRightOperandSample:
     def test_warm_compare_solves_only_the_full_matrix(self, monkeypatch):
         # ginvert's solvers, patched in generators, count compare's own
         # inverses of g2; the witness values S(x, y) come from each operand's
-        # point kernel, which solves one target per point
+        # point kernel, which inverts one target per point through the float
+        # inverse that a scalar ginvert also runs
         twins = numeric_twins()
         pairs = [(S1, S2) for S1 in twins for S2 in twins if S1 is not S2]
         for S1, S2 in pairs:
             compare(S1, S2, GRID)
         counts = {}
-        bracket, point = generators._bracket_invert, generators._invert_point
+        bracket, point = generators._bracket_invert, generators._invert_float
 
         def counted(key, solve, size):
             def run(g, u, tol):
@@ -894,9 +914,9 @@ class TestRightOperandSample:
 
         monkeypatch.setattr(generators, "_bracket_invert",
                             counted("ginvert", bracket, np.size))
-        monkeypatch.setattr(generators, "_invert_point",
+        monkeypatch.setattr(generators, "_invert_float",
                             counted("ginvert", point, lambda u: 1))
-        monkeypatch.setattr(operators, "_invert_point",
+        monkeypatch.setattr(operators, "_invert_float",
                             counted("kernel", point, lambda u: 1))
         sizes = residual_sizes(monkeypatch)
         full = 0
