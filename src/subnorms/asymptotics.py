@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .generators import DEFAULT_TOL, INF, IntervalGrid, ToleranceProfile, geval
+from .generators import INF, IntervalGrid, ToleranceProfile, geval
 from .operators import _worst
 from .ordering import (
     ComposedMap,
@@ -94,8 +94,7 @@ def asymptotic_slope_A(m: ComposedMap, grid: IntervalGrid) -> SlopeEstimate:
     return _slope_A(m, *_profile(m, grid))
 
 
-def small_slope_B(m: ComposedMap, grid: IntervalGrid,
-                  tol: ToleranceProfile = DEFAULT_TOL) -> SlopeEstimate:
+def small_slope_B(m: ComposedMap, grid: IntervalGrid) -> SlopeEstimate:
     """B bounding h(x) <= B*x.
 
     Strict-pair case (domain start 0): the limit of h(x)/x as x -> 0+.
@@ -105,7 +104,7 @@ def small_slope_B(m: ComposedMap, grid: IntervalGrid,
     if m.domain_start == 0.0:
         return _probe_slope(lambda x: float(m(x)) / x)
     if m.both_normalized:
-        return _sup_slope(*_profile(m, grid), tol)
+        return _sup_slope(*_profile(m, grid), m.tol)
     return SlopeEstimate(value=math.nan, converged=False,
                          note="not_applicable: mixed unnormalized pair")
 
@@ -146,17 +145,15 @@ def _envelope(u: np.ndarray, hu: np.ndarray, A: float, B: float,
 
 
 def linear_envelope_check(m: ComposedMap, A: float, B: float,
-                          grid: IntervalGrid,
-                          tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+                          grid: IntervalGrid) -> CriterionReport:
     """A*x <= h(x) <= B*x across samples."""
     if not (A <= B and math.isfinite(A) and math.isfinite(B)):
         return CriterionReport("linear_envelope_check", NOT_APPLICABLE,
                                notes="need finite A <= B")
-    return _envelope(*_profile(m, grid), A, B, tol)
+    return _envelope(*_profile(m, grid), A, B, m.tol)
 
 
 def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
-                          tol: ToleranceProfile = DEFAULT_TOL,
                           pair=None) -> dict[str, CriterionReport]:
     """The three growth-based order predicates, each cross-checked.
 
@@ -169,12 +166,12 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
     """
     u, hu = _profile(m, grid)
     phi = hu / u
-    margin = tol.verdict_margin
+    margin = m.tol.verdict_margin
 
     if pair is None:
-        dominated = subadditivity_test(m, grid, tol).holds
+        dominated = subadditivity_test(m, grid).holds
     else:
-        dominated = dominated_or_equal(direct_compare(pair[0], pair[1], grid, tol))
+        dominated = dominated_or_equal(direct_compare(pair[0], pair[1], grid, m.tol))
 
     A_est = _slope_A(m, u, hu)
 
@@ -203,7 +200,7 @@ def section4_equivalences(m: ComposedMap, grid: IntervalGrid,
     phi_bounded = bool(np.all(np.isfinite(phi)))
     if phi_noninc and phi_bounded:
         B = float(np.max(phi))
-        env = _envelope(u, hu, min(A_est.value, B), B, tol)
+        env = _envelope(u, hu, min(A_est.value, B), B, m.tol)
         ok = dominated and env.holds
         out["monotone_profile"] = CriterionReport(
             "section4_monotone_profile", HOLDS if ok else FAILS,

@@ -141,6 +141,12 @@ class Generator:
     effects; :func:`geval` makes x = 0 and NaN results inf.  A closed
     ``inverse_fn`` maps [s(1), inf] back to [0,1]; :func:`ginvert` makes inf
     targets and NaN results 0.  Without it s(x) = u is solved numerically.
+
+    ``_cache`` is the state kept on s, filled on first use: the solver's
+    bracket tables by eps (:func:`_table`), and for the order engine the
+    normalized generator and the sample of every composed map with s on the
+    right (``ordering._rhs_sample``).  ==, hash and repr ignore it, and
+    ``dataclasses.replace`` starts an empty one.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -149,8 +155,7 @@ class Generator:
     inverse_fn: Callable[[np.ndarray], np.ndarray] | None = None
     family: str | None = None
     params: tuple = ()
-    # eps -> the solver's bracket table (see _table), filled on first use
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary_at_one < 0 or not math.isfinite(self.boundary_at_one):
@@ -207,14 +212,14 @@ def _table(g: Generator, eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """The read-only bracket table (nodes, vals = s(nodes), -vals) of ``g`` for
     eps, built on first use and kept on the generator; vals has the sentinels
     inf at node 0 and -inf at the outer node 1."""
-    table = g._tables.get(eps)
+    table = g._cache.get(eps)
     if table is None:
         nodes = _bracket_table(eps)
         vals = np.concatenate([[INF], geval(g, nodes[1:-1]), [-INF]])
         neg = -vals
         vals.setflags(write=False)
         neg.setflags(write=False)
-        table = g._tables[eps] = (nodes, vals, neg)
+        table = g._cache[eps] = (nodes, vals, neg)
     return table
 
 

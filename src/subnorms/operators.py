@@ -77,9 +77,6 @@ class TSubnorm(Operator):
     """
 
     generator: Generator
-    # ordering's per-operand memo (the normalized generator, compare's right
-    # operand sample), filled on first use; ==, hash and repr ignore it
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
         """S(x, y), checking only that the arguments lie in [0, 1] (the

@@ -27,9 +27,14 @@ cells j >= i only and mirrors them: pair sums and midpoints commute bit for
 bit.  One helper gives the verdict of both of compare's matrices; it and the
 oracle read one relation table and build their (x, y, S1, S2) witnesses with
 one helper, on the point kernel of each ``TSubnorm``.  compare reads its
-witness coordinates off x = s2^{-1}(u) at the witness cell; the sample (u, x)
-depends on the right operand alone, and without a closed s2^{-1} it is kept
-on that operand across calls.
+witness coordinates off x = s2^{-1}(u) at the witness cell.
+
+Every test on h takes the map and a grid alone.  The map's ``tol`` is the
+test's tolerance.  Its sample is u = s2(x) on the grid axis with h(u) = s1(x)
+(:func:`_sample`); the pair (u, x) depends on s2 alone, and without a closed
+s2^{-1} it is kept in s2's cache, so compare and the criteria share it across
+calls.  A proper operand's normalized generator is kept in the cache of its
+generator the same way.
 """
 
 from __future__ import annotations
@@ -157,7 +162,13 @@ def _monotone_scan(xs, r, rel, falling) -> tuple[bool, tuple]:
 
 @dataclass(frozen=True)
 class ComposedMap:
-    """h = s1 o s2^{-1} on [s2(1), inf]; strictly increasing, h(s2(1)) = s1(1)."""
+    """h = s1 o s2^{-1} on [s2(1), inf]; strictly increasing, h(s2(1)) = s1(1).
+
+    The map is the one input of every test on h: ``tol`` is the tolerance of
+    each of them, and their sample of h on a grid is :func:`_sample`, whose
+    (u, x = s2^{-1}(u)) is kept on the right generator s2 when s2 has no
+    closed inverse, so every map with s2 on the right shares it.
+    """
 
     lhs: Generator
     rhs: Generator
@@ -200,11 +211,63 @@ def map_samples(m: ComposedMap, grid: IntervalGrid) -> np.ndarray:
     return _samples(m.rhs, grid)
 
 
+class _RhsSample:
+    """The right generator's side of h on one grid and tolerance:
+    u = :func:`map_samples` of g2 and x = g2^{-1}(u).  Other inverses of g2
+    (the fit's median u0, concavity's d = g2(1), compare's coarse pair sums)
+    are solved on first use and kept, keyed by their exact values;
+    :meth:`h` reads h through them."""
+
+    def __init__(self, g: Generator, grid: IntervalGrid, tol: ToleranceProfile):
+        self.g, self.tol = g, tol
+        self.u = _samples(g, grid)
+        self.x = ginvert(g, self.u, tol)
+        self.u.setflags(write=False)
+        self.x.setflags(write=False)
+        self._solved: dict = {}
+
+    def invert(self, v):
+        """g2^{-1}(v) for a float or a 1-d array v, solved once per value."""
+        key = v.hex() if isinstance(v, float) else v.tobytes()
+        x = self._solved.get(key)
+        if x is None:
+            x = self._solved[key] = ginvert(self.g, v, self.tol)
+            if not isinstance(x, float):
+                x.setflags(write=False)
+        return x
+
+    def h(self, g1: Generator) -> Callable:
+        """h = g1 o g2^{-1} on the inverses of g2 kept here."""
+        return lambda v: geval(g1, self.invert(v))
+
+
+def _rhs_sample(g2: Generator, grid: IntervalGrid, tol: ToleranceProfile) -> _RhsSample:
+    """g2's side of h.  Without a closed inverse it is kept in g2's cache in
+    one slot, keyed by the axis values and the tolerance, so each map with g2
+    on the right reuses the solves of the first."""
+    if g2.inverse_fn is not None:
+        return _RhsSample(g2, grid, tol)
+    key = (grid.axis.tobytes(), tol)
+    slot = g2._cache.get("rhs")
+    if slot is None or slot[0] != key:
+        slot = g2._cache["rhs"] = (key, _RhsSample(g2, grid, tol))
+    return slot[1]
+
+
+def _sample(m: ComposedMap,
+            grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray, _RhsSample]:
+    """The one sample of h on ``grid``: u = :func:`map_samples` and h(u) = s1(x)
+    for x = s2^{-1}(u) of the right generator's sample at ``m.tol``, which is
+    returned too."""
+    side = _rhs_sample(m.rhs, grid, m.tol)
+    return side.u, geval(m.lhs, side.x), side
+
+
 def _profile(m: ComposedMap, grid: IntervalGrid) -> tuple[np.ndarray, np.ndarray]:
     """The positive map samples u and h(u): the profile h(u)/u and growth checks."""
-    u = map_samples(m, grid)
-    u = u[u > 0]
-    return u, m(u)
+    u, hu, _ = _sample(m, grid)
+    pos = u > 0
+    return u[pos], hu[pos]
 
 
 @dataclass(frozen=True)
@@ -318,19 +381,17 @@ def _report(name: str, holds, wc: tuple, failure: str = "",
                            notes="" if holds else failure, details=details)
 
 
-def subadditivity_test(m: ComposedMap, grid: IntervalGrid,
-                       tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+def subadditivity_test(m: ComposedMap, grid: IntervalGrid) -> CriterionReport:
     """h(u+v) <= h(u) + h(v) over all sample pairs; exact iff S1 <= S2."""
-    u = map_samples(m, grid)
-    holds, wc = _pair_scan(u, m(u), m, np.add, _excess, tol.verdict_margin)
+    u, hu, _ = _sample(m, grid)
+    holds, wc = _pair_scan(u, hu, m, np.add, _excess, m.tol.verdict_margin)
     return _report("subadditivity_test", holds, wc, "superadditive pair found")
 
 
-def equality_test(m: ComposedMap, grid: IntervalGrid,
-                  tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+def equality_test(m: ComposedMap, grid: IntervalGrid) -> CriterionReport:
     """h is homogeneous linear (h(u) = c*u, c > 0) iff S1 = S2."""
-    u = map_samples(m, grid)
-    linear, wc, c = _linear_fit(m, u, m(u), tol.verdict_margin)
+    u, hu, side = _sample(m, grid)
+    linear, wc, c = _linear_fit(side.h(m.lhs), u, hu, m.tol.verdict_margin)
     return _report("equality_test", linear, wc, c=c)
 
 
@@ -348,8 +409,7 @@ def _linear_fit(h: Callable, u, hu, margin) -> tuple[bool, tuple, float]:
     return c > 0 and linear, wc, c
 
 
-def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
-                        tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+def concavity_criterion(m: ComposedMap, grid: IntervalGrid) -> CriterionReport:
     """Midpoint concavity of h, plus h(u) <= u*h(d)/d when d = s2(1) > 0.
 
     Sufficient only: a concave h is subadditive when h(u)/u is non-increasing
@@ -357,17 +417,16 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
     pairs); without it a concave h can fail subadditivity (the affine-with-offset
     counterexamples).
     """
-    u = map_samples(m, grid)
-    hu = m(u)
+    u, hu, side = _sample(m, grid)
     concave, wc = _pair_scan(u, hu, m, _midpoint, _concavity_gap,
-                             tol.verdict_margin)
+                             m.tol.verdict_margin)
     details = {"midpoint_concave": concave, "upper_bound_ok": None}
     notes = "midpoint concavity fails"
     side_ok = True
-    d = m.domain_start
+    d = float(m.domain_start)
     if d > 0:
-        side_ok, side_wc = _worst(hu - u * (float(m(d)) / d),
-                                  tol.verdict_margin * np.maximum(1.0, u), u)
+        side_ok, side_wc = _worst(hu - u * (side.h(m.lhs)(d) / d),
+                                  m.tol.verdict_margin * np.maximum(1.0, u), u)
         details["upper_bound_ok"] = side_ok
         if not side_ok:
             wc, notes = side_wc, "h(u) <= u*h(d)/d fails (side condition for d > 0)"
@@ -377,28 +436,25 @@ def concavity_criterion(m: ComposedMap, grid: IntervalGrid,
 _T_SAMPLES = np.array([1.0, 1.5, 2.0, 3.0, 5.0, 10.0])[:, None]  # dilations t >= 1
 
 
-def quasi_homogeneity_criterion(m: ComposedMap, grid: IntervalGrid,
-                                tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+def quasi_homogeneity_criterion(m: ComposedMap, grid: IntervalGrid) -> CriterionReport:
     """Under convexity of h: h(t*x) <= t*h(x) for t >= 1 iff S1 <= S2."""
     t = _T_SAMPLES
-    u = map_samples(m, grid)
-    hu = m(u)
-    convex, _ = _pair_scan(u, hu, m, _midpoint, _convexity_gap, tol.verdict_margin)
+    u, hu, _ = _sample(m, grid)
+    convex, _ = _pair_scan(u, hu, m, _midpoint, _convexity_gap, m.tol.verdict_margin)
     if not convex:
         return CriterionReport("quasi_homogeneity_criterion", NOT_APPLICABLE,
                                notes="h is not midpoint-convex on samples")
-    holds, wc = _worst(m(t * u) - t * hu, _slack(tol.verdict_margin, t * hu), t, u)
+    holds, wc = _worst(m(t * u) - t * hu, _slack(m.tol.verdict_margin, t * hu), t, u)
     return _report("quasi_homogeneity_criterion", holds, wc)
 
 
-def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid,
-                            tol: ToleranceProfile = DEFAULT_TOL) -> CriterionReport:
+def ratio_profile_criterion(m: ComposedMap, grid: IntervalGrid) -> CriterionReport:
     """phi(u) = h(u)/u non-increasing forces S1 <= S2 (sufficient only)."""
     u, hu = _profile(m, grid)
     if u.size < 2:
         return CriterionReport("ratio_profile_criterion", NOT_APPLICABLE,
                                notes="not enough positive samples")
-    holds, wc = _monotone_scan(u, hu / u, tol.verdict_margin, falling=False)
+    holds, wc = _monotone_scan(u, hu / u, m.tol.verdict_margin, falling=False)
     return _report("ratio_profile_criterion", holds, wc, "profile increases")
 
 
@@ -469,12 +525,16 @@ def proper_never_dominates_tnorm_check(
 
 
 def _normalized(S: TSubnorm) -> Generator:
-    """S's generator, normalized if S is proper; built once per operand, so a
-    generator without a closed inverse keeps its bracket tables."""
-    g = S._memo.get("normalized")
-    if g is None:
-        g = S._memo["normalized"] = normalize(S.generator) if S.is_proper else S.generator
-    return g
+    """S's generator, normalized if S is proper.  A new normalized generator
+    is built once and kept in the cache of S's generator, so its own tables
+    and sample are kept too."""
+    g = S.generator
+    if g.boundary_at_one in (0.0, 1.0):
+        return g
+    n = g._cache.get("normalized")
+    if n is None:
+        n = g._cache["normalized"] = normalize(g)
+    return n
 
 
 def _section3_map(S1: TSubnorm, S2: TSubnorm, tol: ToleranceProfile) -> ComposedMap:
@@ -541,7 +601,7 @@ def run_criterion(name: str, S1: TSubnorm, S2: TSubnorm, grid: IntervalGrid,
     h = build(S1, S2, tol)
     if isinstance(h, str):
         return CriterionReport(reported, NOT_APPLICABLE, notes=h)
-    rep = test(h, grid, tol)
+    rep = test(h, grid)
     return replace(rep, criterion=reported,
                    notes=rep.notes if rep.holds or failure is None else failure)
 
@@ -593,44 +653,6 @@ def _coarse_samples(n: int, stride: int) -> np.ndarray:
     return idx
 
 
-class _RhsSample:
-    """The right operand's side of :func:`compare` on one grid and tolerance:
-    u = :func:`map_samples` of g2 and x = g2^{-1}(u).  Other inverses of g2
-    (the fit's median u0, the coarse pair sums) are solved on first use and
-    kept, keyed by their exact values."""
-
-    def __init__(self, g: Generator, grid: IntervalGrid, tol: ToleranceProfile):
-        self.g, self.tol = g, tol
-        self.u = _samples(g, grid)
-        self.x = ginvert(g, self.u, tol)
-        self.x.setflags(write=False)
-        self._solved: dict = {}
-
-    def invert(self, v):
-        """g2^{-1}(v) for a float or a 1-d array v, solved once per value."""
-        key = v.hex() if isinstance(v, float) else v.tobytes()
-        x = self._solved.get(key)
-        if x is None:
-            x = self._solved[key] = ginvert(self.g, v, self.tol)
-            if not isinstance(x, float):
-                x.setflags(write=False)
-        return x
-
-
-def _rhs_sample(S2: TSubnorm, g2: Generator, grid: IntervalGrid,
-                tol: ToleranceProfile) -> _RhsSample:
-    """S2's side of compare for g2 = its normalized generator.  Without a
-    closed inverse it is kept on S2 in one slot, keyed by the axis values and
-    the tolerance, so each of S2's pairs reuses the solves of the first."""
-    if g2.inverse_fn is not None:
-        return _RhsSample(g2, grid, tol)
-    key = (grid.axis.tobytes(), tol)
-    slot = S2._memo.get("rhs")
-    if slot is None or slot[0] != key:
-        slot = S2._memo["rhs"] = (key, _RhsSample(g2, grid, tol))
-    return slot[1]
-
-
 def _matrix_verdict(S1, S2, R, allow, x, tol: ToleranceProfile) -> ComparisonVerdict:
     """compare's verdict on R = h(u_i + u_j) - h(u_i) - h(u_j) for samples u
     and x = g2^{-1}(u): S1 <= S2 iff R <= allow, S2 <= S1 iff -R <= allow.
@@ -657,12 +679,12 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     """Public order query: equality and ratio certificates, then the exact test.
 
     For generator-backed operands, h = g1 o g2^{-1} (normalized pair) is sampled
-    once: u = :func:`map_samples` and x = g2^{-1}(u) depend on S2 alone, and
-    hu = h(u) = g1(x).  Where g2 has no closed inverse, u, x and the other
-    inverses of g2 that compare solves before the full matrix (the fit's median
-    and the coarse pair sums) are kept on S2 for the next call on the same grid
-    axis and tolerance (:class:`_RhsSample`).  The sample serves the equality
-    fit, the ratio profile h(u)/u on u > 0 (the
+    once (:func:`_sample`): u = :func:`map_samples` and x = g2^{-1}(u) depend
+    on g2 alone, and hu = h(u) = g1(x).  Where g2 has no closed inverse, u, x
+    and the other inverses of g2 that compare solves before the full matrix
+    (the fit's median and the coarse pair sums) are kept in g2's cache for the
+    next test on the same grid axis and tolerance (:class:`_RhsSample`).  The
+    sample serves the equality fit, the ratio profile h(u)/u on u > 0 (the
     generator ratio g1/g2 at u = g2(x): non-increasing gives S1 <= S2,
     non-decreasing S2 <= S1) and R = h(u_i + u_j) - h(u_i) - h(u_j):
     S1 <= S2 iff R <= slack (h subadditive), S2 <= S1 iff -R <= slack (h^{-1}
@@ -684,13 +706,8 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
         return direct_compare(S1, S2, grid, tol)
     margin = tol.verdict_margin
     m = _section3_map(S1, S2, tol)
-    side = _rhs_sample(S2, m.rhs, grid, tol)
-    u, x = side.u, side.x
-    hu = geval(m.lhs, x)
-
-    def h(v):  # h on inverses of g2 kept by the sample
-        return geval(m.lhs, side.invert(v))
-
+    u, hu, side = _sample(m, grid)
+    h = side.h(m.lhs)
     if _linear_fit(h, u, hu, margin)[0]:
         return ComparisonVerdict(EQUAL, [], "equality_test", margin)
     pos = u > 0
@@ -701,8 +718,8 @@ def compare(S1: Operator, S2: Operator, grid: IntervalGrid,
     c = _coarse_samples(u.size, _COARSE_STRIDE)
     R, allow = _pair_residuals(u.take(c), hu.take(c), h, np.add, _excess, margin)
     if (R > allow).any() and (-R > allow).any():  # both fail; NaN holds both
-        v = _matrix_verdict(S1, S2, R, allow, x.take(c), tol)
+        v = _matrix_verdict(S1, S2, R, allow, side.x.take(c), tol)
         if v.relation == INCOMPARABLE:
             return v
     R, allow = _pair_residuals(u, hu, m, np.add, _excess, margin)
-    return _matrix_verdict(S1, S2, R, allow, x, tol)
+    return _matrix_verdict(S1, S2, R, allow, side.x, tol)

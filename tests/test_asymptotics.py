@@ -9,6 +9,7 @@ import pytest
 from subnorms import (
     FamilySpec,
     IntervalGrid,
+    ToleranceProfile,
     affine_shift,
     asymptotic_slope_A,
     compose,
@@ -19,7 +20,7 @@ from subnorms import (
     small_slope_B,
 )
 from subnorms.asymptotics import ORDER_LOWER, SAME_ORDER
-from subnorms import asymptotics, verify
+from subnorms import asymptotics, ordering, verify
 from subnorms.ordering import FAILS, HOLDS, NOT_APPLICABLE, ComposedMap, map_samples
 
 GRID = IntervalGrid.uniform(101)
@@ -96,6 +97,16 @@ class TestSlopeB:
         assert est.value > 2.0
         assert est.note == "sup over samples; exceeds the theoretical bound 2"
 
+    def test_bound_reads_the_map_tolerance(self):
+        # h(u) = (2 + e)u - (1 + e): sup h(u)/u = 2 + e - (1 + e)/u_max is
+        # within a 1e-4 margin of 2 only
+        e = 1e-5
+        R = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        m = compose(affine_shift(R, 2.0 + e, -1.0 - e), R)
+        wide = replace(m, tol=ToleranceProfile(verdict_margin=1e-4))
+        assert small_slope_B(m, GRID).note == "sup over samples; exceeds the theoretical bound 2"
+        assert small_slope_B(wide, GRID).note == "sup over samples"
+
 
 class TestEnvelope:
     def test_log_map_envelope(self):
@@ -103,6 +114,12 @@ class TestEnvelope:
 
     def test_affine_map_envelope(self):
         assert linear_envelope_check(affine_map(), 0.6, 1.0, GRID).verdict == HOLDS
+
+    def test_envelope_reads_the_map_tolerance(self):
+        # h(1) = 1 lies above B = 1 - 5e-5 by 5e-5: inside a 1e-4 margin only
+        wide = replace(affine_map(), tol=ToleranceProfile(verdict_margin=1e-4))
+        assert linear_envelope_check(wide, 0.6, 1.0 - 5e-5, GRID).verdict == HOLDS
+        assert linear_envelope_check(affine_map(), 0.6, 1.0 - 5e-5, GRID).verdict == FAILS
 
     def test_too_tight_envelope_fails(self):
         rep = linear_envelope_check(affine_map(), 0.9, 1.0, GRID)
@@ -159,6 +176,17 @@ class TestGrowthPredicates:
         with pytest.raises(AssertionError, match="subadditivity_test ran"):
             section4_equivalences(affine_map(), GRID)
 
+    def test_predicates_read_the_map_tolerance(self):
+        # h(u) = (1 + e)u - e: sup h(u)/u = 1 + e(1 - 1/u_max), and
+        # superadditive by e, both inside a 1e-4 margin only
+        e = 1e-5
+        R = make_family(FamilySpec("rational", {"a": 0.5})).generator
+        m = compose(affine_shift(R, 1.0 + e, -e), R)
+        wide = replace(m, tol=ToleranceProfile(verdict_margin=1e-4))
+        assert section4_equivalences(m, GRID)["concave_envelope"].verdict == NOT_APPLICABLE
+        rep = section4_equivalences(wide, GRID)["concave_envelope"]
+        assert (rep.verdict, rep.notes) == (HOLDS, "A<=phi<=1 is True, dominance is True")
+
     def test_nonconvex_profile_not_applicable(self):
         L = make_family(FamilySpec("log_sub", {"a": 0.5, "l": 2.0})).generator
         SS = make_family(FamilySpec("ss_sub", {"a": 0.5, "l": -2.0})).generator
@@ -192,17 +220,27 @@ class TestGrowthPredicates:
         assert n * n not in sizes
 
     def test_growth_check_samples_each_map_once(self, monkeypatch):
-        sizes = []
-        real = ComposedMap.__call__
+        samples, sizes = [], []
+        sample, real = ordering._sample, ComposedMap.__call__
+
+        def counting_sample(m, grid):
+            out = sample(m, grid)
+            samples.append((m.label, out[0].size))
+            return out
 
         def counting(m, u):
             sizes.append(np.size(u))
             return real(m, u)
 
+        monkeypatch.setattr(ordering, "_sample", counting_sample)
         monkeypatch.setattr(ComposedMap, "__call__", counting)
         verify.check_growth_numbers()
-        # one profile per map; the product/Hamacher B probes h at 12 scalars
-        assert sorted(n for n in sizes if n > 1) == [103, 104]
+        # one profile per map, read off its one sample (0 and 103 positive u
+        # for the strict Hamacher s2); the product/Hamacher B probes h at 12
+        # scalars, and no array goes through h
+        assert samples == [("product o inv(hamacher0)", 104),
+                           ("rational(a=0.5) o inv(rational(a=0.7))", 104)]
+        assert sizes == [1] * 12
 
     def test_increasing_profile_not_applicable(self):
         s2 = make_family(FamilySpec("rational", {"a": 0.5})).generator

@@ -368,7 +368,8 @@ class TestScalarInversion:
 
 
 class TestBracketTableCache:
-    """The bracket table is evaluated once per generator and tolerance."""
+    """The bracket table is evaluated once per generator and tolerance, and
+    kept in the generator's cache by eps."""
 
     def counted_twin(self):
         g, sizes = member("rational", a=0.5), []
@@ -391,7 +392,7 @@ class TestBracketTableCache:
     def test_cached_arrays_are_read_only(self):
         twin, _ = self.counted_twin()
         ginvert(twin, 3.0)
-        (table,) = twin._tables.values()
+        (table,) = twin._cache.values()
         assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in table)
 
     def test_tables_are_kept_per_tolerance(self):
@@ -401,15 +402,16 @@ class TestBracketTableCache:
         S = TSubnorm(twin)
         S(0.3, 0.6)
         assert S.surface(0.3, 0.6, fine).hex() == TSubnorm(fresh).surface(0.3, 0.6, fine).hex()
-        assert len(twin._tables) == 2
+        assert len(twin._cache) == 2
 
     def test_replace_starts_empty_and_equality_ignores_the_cache(self):
         twin, _ = self.counted_twin()
         other = dataclasses.replace(twin)
         ginvert(twin, 3.0)
-        assert twin._tables and not other._tables
+        assert twin._cache and not other._cache
         assert twin == other and hash(twin) == hash(other)
-        assert not dataclasses.replace(twin, fn=member("product").fn)._tables
+        assert repr(twin) == repr(other)
+        assert not dataclasses.replace(twin, fn=member("product").fn)._cache
 
 
 class TestNormalization:

@@ -584,6 +584,82 @@ RESTATED = {
 }
 
 
+# every named row: the five base tests under their own names and the four
+# restatements
+ROWS = {**{name: (test.__name__, test, None, criteria_map)
+           for name, test in (("subadditivity", subadditivity_test),
+                              ("equality", equality_test),
+                              ("concavity", concavity_criterion),
+                              ("quasi_homogeneity", quasi_homogeneity_criterion),
+                              ("ratio_profile", ratio_profile_criterion))},
+        **RESTATED}
+
+
+class TestMapTolerance:
+    """Every test on h reads its tolerance off the map: a row run at a
+    tolerance gives its base test's report on h composed at that tolerance."""
+
+    TOL = ToleranceProfile(verdict_margin=1e-4, inversion_tol=1e-10)
+    TIGHT = replace(TOL, verdict_margin=DEFAULT_TOL.verdict_margin)
+
+    @staticmethod
+    def near_margin_pairs():
+        """Pairs with residuals between the margins 1e-6 and 1e-4, each with
+        the rows whose reports differ between the two margins."""
+        e = 1e-5
+        P, R = catalog()[0], catalog()[5]
+        twins = numeric_twins()
+        w = -math.log(1e-6)  # the largest sample w = -ln x
+        q = (1.0 + e) / (2.0 * w * w)
+
+        def log_term(c):  # h(u) = u + c ln u over s2 = R's
+            s2 = R.generator.fn
+            return from_generator(numeric_inverse(
+                lambda x: s2(x) + c * np.log(s2(x)), 1.0, f"s+{c:g}*ln(s)")), R
+
+        affine_rows = {"subadditivity", "equality", "concavity", "quasi_homogeneity",
+                       "derivative_ratio"}
+        return [
+            # h(u) = (1 + e)u - e: superadditive by e, off linear by e, and
+            # above u*h(1) by e*(u - 1), the side condition of concavity
+            ((from_generator(affine_shift(R.generator, 1.0 + e, -e)), R), affine_rows),
+            # h concave by e*ln(4/3)/2 at (1, 3): midpoint convex, so
+            # quasi-homogeneity applies, only within the wider margin
+            (log_term(e), affine_rows),
+            # h convex by as much: midpoint concave only within the wider margin
+            (log_term(-e), affine_rows - {"quasi_homogeneity"}),
+            # one operator (1 - log2 x, and -ln(x/2) normalized) up to the solver
+            ((twins[4], twins[11]),
+             {"equality", "concavity", "ratio", "ratio_profile", "derivative_ratio"}),
+            # s = -ln x + e over t = -ln x: h(w) = w + e, off linear by e
+            ((from_generator(affine_shift(P.generator, 1.0, e)), P),
+             {"logarithmic_equality"}),
+            # h(w) = 1 + w + q w^2 over t = -ln x: superadditive by e at (w, w)
+            ((from_generator(numeric_inverse(
+                lambda x: 1.0 - np.log(x) + q * np.log(x) ** 2, 1.0, "1+t+qt^2")), P),
+             {"subadditivity", "strict_dominance"}),
+        ]
+
+    def test_rows_read_the_map_tolerance(self):
+        pairs = self.near_margin_pairs()
+        assert set().union(*(rows for _, rows in pairs)) == set(CRITERION_NAMES)
+        for (S1, S2), rows in pairs:
+            moved = set()
+            for name, (reported, base, failure, build) in ROWS.items():
+                got = run_criterion(name, S1, S2, GRID, self.TOL)
+                h = build(S1, S2)
+                if h is None:
+                    assert (got.criterion, got.verdict) == (reported, NOT_APPLICABLE)
+                    continue
+                want = base(replace(h, tol=self.TOL), GRID)
+                notes = want.notes if want.holds or failure is None else failure
+                assert got == replace(want, criterion=reported, notes=notes), \
+                    (name, S1.label, S2.label)
+                if want != base(replace(h, tol=self.TIGHT), GRID):
+                    moved.add(name)
+            assert moved == rows, (S1.label, S2.label)
+
+
 class TestScansAndCompare:
     def test_dombi_chain_increasing(self):
         verify.check_family_chain(*_chain_row("dombi_sub"))
@@ -853,15 +929,16 @@ class TestTriangleOfH:
 
 
 def fresh(S: TSubnorm) -> TSubnorm:
-    """S rebuilt from a copy of its generator: no tables and an empty memo."""
+    """S rebuilt from a copy of its generator, whose cache starts empty."""
     return from_generator(replace(S.generator))
 
 
 class TestRightOperandSample:
     """compare keeps a solver-backed right operand's sample (u, x = g2^{-1}(u)
-    and the inverses solved before the full matrix) on the operand, per grid
-    axis and tolerance: the records equal those of fresh operands, and a warm
-    call solves only what the full matrix needs."""
+    and the inverses solved before the full matrix) in the cache of its
+    criteria generator g2, per grid axis and tolerance: the records equal
+    those of fresh operands, and a warm call solves only what the full matrix
+    needs."""
 
     def test_records_match_fresh_operands(self):
         fine = ToleranceProfile(inversion_tol=1e-10)
@@ -878,9 +955,11 @@ class TestRightOperandSample:
         pairs = [(twins[0], twins[5]), (twins[0], twins[11]), (twins[12], twins[10]),
                  (twins[3], twins[5]), (twins[12], twins[5]), (closed[0], closed[5])]
         compare(*pairs[0], GRID)
-        # an operand rebuilt with another generator starts with an empty memo
+        # an operand rebuilt with another generator reads that generator's
+        # cache, which holds no sample or normalized generator yet
         swapped = replace(twins[5], generator=twins[12].generator)
-        assert not swapped._memo
+        assert "rhs" in twins[5].generator._cache
+        assert not {"rhs", "normalized"} & swapped.generator._cache.keys()
         pairs.append((twins[0], swapped))
         for grid, tol in settings:
             for S1, S2 in pairs:
@@ -890,9 +969,10 @@ class TestRightOperandSample:
                 # the kept sample is solved at this call's tolerance, which
                 # these records do not show
                 g2 = ordering._normalized(S2)
-                side = ordering._rhs_sample(S2, g2, grid, tol)
+                side = ordering._rhs_sample(g2, grid, tol)
                 assert side.x.tobytes() == ginvert(g2, side.u, tol).tobytes()
-        assert "rhs" in twins[5]._memo and "rhs" not in closed[5]._memo
+        assert "rhs" in twins[5].generator._cache
+        assert "rhs" not in closed[5].generator._cache
 
     def test_warm_compare_solves_only_the_full_matrix(self, monkeypatch):
         # ginvert's solvers, patched in generators, count compare's own
@@ -932,15 +1012,63 @@ class TestRightOperandSample:
             assert counts["kernel"] <= 2 * len(v.witnesses)
         assert full == 4
 
+    def test_criteria_share_the_kept_sample(self, monkeypatch):
+        # once g2 holds its sample, neither a second run_criterion nor a bare
+        # map with another generator on the left solves u again: the one
+        # array of solver targets is the triangle of pair sums; the reports
+        # are those of fresh generators
+        twins, closed = numeric_twins(), catalog()
+        S1, S2 = twins[0], twins[5]
+        g1, g2 = closed[6].generator, S2.generator
+        want = [run_criterion("subadditivity", fresh(S1), fresh(S2), GRID),
+                subadditivity_test(compose(g1, replace(g2)), GRID)]
+        run_criterion("subadditivity", S1, S2, GRID)
+        n = map_samples(compose(g1, g2), GRID).size
+        targets = []
+        solve = generators._bracket_invert
+
+        def counted(g, u, tol):
+            targets.append(u.size)
+            return solve(g, u, tol)
+
+        monkeypatch.setattr(generators, "_bracket_invert", counted)
+        got = []
+        for run in (lambda: run_criterion("subadditivity", S1, S2, GRID),
+                    lambda: subadditivity_test(compose(g1, g2), GRID)):
+            targets.clear()
+            got.append(run())
+            assert targets == [n * (n + 1) // 2]
+        assert got == want
+
+    def test_criteria_keep_their_scalar_inverses(self, monkeypatch):
+        # the fit's median u0 and concavity's d = s2(1) are inverses of g2
+        # kept with the sample, so warm tests solve neither again
+        twins = numeric_twins()
+        m = compose(twins[6].generator, twins[5].generator)
+        tests = (equality_test, concavity_criterion)
+        want = [test(m, GRID) for test in tests]
+        solves = 0
+        point = generators._invert_float
+
+        def counted(g, u, tol):
+            nonlocal solves
+            solves += 1
+            return point(g, u, tol)
+
+        monkeypatch.setattr(generators, "_invert_float", counted)
+        assert [test(m, GRID) for test in tests] == want
+        assert solves == 0
+
     def test_second_pass_builds_no_table(self, monkeypatch):
-        # the normalized generator is kept on the operand, so the two log_sub
-        # twins (s(1) != 1) build their normalized table once, not per pair
+        # the normalized generator is kept in the cache of the operand's
+        # generator, so the two log_sub twins (s(1) != 1) build their
+        # normalized table once, not per pair
         builds = 0
         table = generators._table
 
         def counted(g, eps):
             nonlocal builds
-            builds += eps not in g._tables
+            builds += eps not in g._cache
             return table(g, eps)
 
         monkeypatch.setattr(generators, "_table", counted)
