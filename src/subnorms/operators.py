@@ -52,19 +52,23 @@ def _triangle_rows(n: int):
 
 
 class Operator:
-    """The protocol: subclasses give per-axis ``values`` and ``combine`` them
-    into S, and ``surface(x, y)`` is ``combine(values(x), values(y))``.  Two
-    0-d arguments are a point: it runs on 1-element arrays, as numpy's 0-d
-    loops may round differently, and gives a float (a ``TSubnorm`` takes a
-    point through a float kernel of the same value, and a square from one axis
-    by inverting one triangle and mirroring it)."""
+    """The protocol: subclasses give per-axis ``values``, ``combine`` them into
+    S, and may give a point kernel ``_point``.  ``surface(x, y)`` is the one
+    entry for S: two 0-d arguments (Python or numpy scalars, 0-d arrays) are a
+    point and give the float ``_point(x, y, tol)``; any other input gives the
+    array ``combine(values(x), values(y))``.  The default ``_point`` runs
+    ``combine`` on 1-element arrays, as numpy's 0-d loops may round
+    differently."""
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
 
     def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        if np.ndim(x) or np.ndim(y):
+        if np.asarray(x, dtype=float).ndim or np.asarray(y, dtype=float).ndim:
             return self.combine(self.values(x), self.values(y), tol)
+        return self._point(x, y, tol)
+
+    def _point(self, x, y, tol: ToleranceProfile) -> float:
         vx, vy = self.values(np.reshape(x, 1)), self.values(np.reshape(y, 1))
         return float(self.combine(vx, vy, tol)[0])
 
@@ -74,27 +78,21 @@ class TSubnorm(Operator):
     """S(x, y) = s^{(-1)}(s(x) + s(y)) for a strictly decreasing generator s.
 
     Strict t-norm iff s(1) = 0; proper subnorm iff S(1,1) < 1, i.e. s(1) > 0.
+    ``values`` is s (``geval``), ``combine`` inverts sums of its values, and
+    ``_point`` is a float kernel of the same value; the only domain check is
+    that the arguments lie in [0, 1].
     """
 
     generator: Generator
 
-    def surface(self, x, y, tol: ToleranceProfile = DEFAULT_TOL):
-        """S(x, y), checking only that the arguments lie in [0, 1] (the
-        DomainError of ``geval``).  Two 0-d arguments (Python or numpy scalars,
-        0-d arrays) are a point and give a float; any other input gives the
-        array ``combine(values(x), values(y))``.
-
-        A point runs one float kernel: s once on the 2-element array [x, y],
-        then ``geval``'s rule (x = 0 or a NaN value gives inf), u = s(x) + s(y),
-        ``pseudo_invert``'s rule (1 at or below s(1)), and above it the float
-        inverse of a scalar ``ginvert`` (``generators._invert_float``).  It is
-        bit-identical to ``combine`` on 1-element arrays; numpy's 0-d loops may
-        round differently, so s and s^{-1} still see arrays.
-        """
-        xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if xa.ndim or ya.ndim:
-            return self.combine(self.values(x), self.values(y), tol)
-        fx, fy = float(xa), float(ya)
+    def _point(self, x, y, tol: ToleranceProfile) -> float:
+        """S at one point, bit-identical to ``combine`` on 1-element arrays: s
+        once on the 2-element array [x, y], then ``geval``'s rule (x = 0 or a
+        NaN value gives inf), u = s(x) + s(y), ``pseudo_invert``'s rule (1 at
+        or below s(1)), and above it the float inverse of a scalar ``ginvert``
+        (``generators._invert_float``).  numpy's 0-d loops may round
+        differently, so s and s^{-1} still see arrays."""
+        fx, fy = float(x), float(y)
         if not 0.0 <= fx <= 1.0:  # NaN fails
             raise DomainError(f"argument {x!r} outside [0, 1]")
         if not 0.0 <= fy <= 1.0:
@@ -114,30 +112,23 @@ class TSubnorm(Operator):
         return geval(self.generator, x)
 
     def combine(self, vx, vy, tol: ToleranceProfile = DEFAULT_TOL):
-        """s^{(-1)}(vx + vy), inf saturating.  Blocks of leading-axis rows of about
-        SOLVER_CHUNK points are summed into one reused buffer and inverted into
-        the result; a lone block is inverted in the buffer itself.
+        """s^{(-1)}(vx + vy), inf saturating, on one of two array paths.
 
-        A square of more than one block from a column and a row that hold the
-        same values is symmetric bit for bit (float addition commutes and each
-        inverted value depends on its target alone), so only its cells j >= i
-        are inverted, on the oracle's walk (:func:`_triangle_rows`), and each
-        block is also written to its mirror."""
-        shape = np.broadcast_shapes(np.shape(vx), np.shape(vy))
-        n, rows = shape[0], max(1, SOLVER_CHUNK // max(1, math.prod(shape[1:])))
-        if rows < n and np.shape(vx) == (n, 1) and np.shape(vy) == (1, n):
+        A square of more than SOLVER_CHUNK cells from a column and a row that
+        hold the same values is symmetric bit for bit (float addition commutes
+        and each inverted value depends on its target alone), so only its cells
+        j >= i are inverted, on the oracle's walk (:func:`_triangle_rows`) in
+        one reused buffer, and each block is also written to its mirror.  Any
+        other input is summed once and inverted in place, so the inverse's
+        temporaries are full size: a large non-square input peaks at about
+        three times its output."""
+        n = np.size(vx)
+        if n * n > SOLVER_CHUNK and np.shape(vx) == (n, 1) and np.shape(vy) == (1, n):
             v = np.ravel(vx)
             if np.array_equal(v, np.ravel(vy)):
                 return self._mirrored(v, tol)
-        buf = np.empty((min(rows, n),) + shape[1:])
-        if rows >= n:
-            return pseudo_invert(self.generator, np.add(vx, vy, out=buf), tol, out=buf)
-        vx, vy = np.broadcast_arrays(vx, vy)
-        out = np.empty(shape)
-        for lo in range(0, n, rows):
-            u = np.add(vx[lo:lo + rows], vy[lo:lo + rows], out=buf[:min(rows, n - lo)])
-            pseudo_invert(self.generator, u, tol, out=out[lo:lo + rows])
-        return out
+        u = np.add(vx, vy, dtype=float)
+        return pseudo_invert(self.generator, u, tol, out=u)
 
     def _mirrored(self, v: np.ndarray, tol: ToleranceProfile) -> np.ndarray:
         """The square s^{(-1)}(v[i] + v[j]) from its cells j >= i."""

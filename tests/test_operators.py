@@ -316,12 +316,14 @@ def numeric_member():
 
 
 class TestBlockedSurface:
-    """surface inverts blocks of leading-axis rows; each row must not depend on its block."""
+    """surface inverts a large square from one axis in triangle blocks and any
+    other input in one call; each row must not depend on its block."""
 
     MEMBERS = [make_family(FamilySpec("dombi_sub", {"a": 0.6, "l": 2.0})), numeric_member()]
     # (member, points per axis, a row of other values, operators.SOLVER_CHUNK):
-    # a square from one axis inverts one triangle and mirrors it unless one
-    # block covers it; a chunk of 64 runs many blocks and the mirror at n = 50
+    # a square from one axis of more than SOLVER_CHUNK cells inverts one
+    # triangle and mirrors it; a chunk of 64 runs many blocks and the mirror
+    # at n = 50
     SQUARES = [(S, 401, False, SOLVER_CHUNK) for S in MEMBERS] + [
         (S, n, other, chunk) for S in MEMBERS
         for n, other, chunk in [(1, False, SOLVER_CHUNK), (2, False, SOLVER_CHUNK),
@@ -344,17 +346,43 @@ class TestBlockedSurface:
         np.testing.assert_array_equal(Z[::step, ::step], [[S.surface(x, y) for y in Y[0, ::step]]
                                                           for x in ax[::step]])
 
-    def test_square_inverts_one_triangle(self, monkeypatch):
-        targets = []
+    @pytest.fixture
+    def inverted_shapes(self, monkeypatch):
+        """The shapes of the targets that operators sends to pseudo_invert."""
+        shapes = []
 
         def counting(g, u, *args, **kwargs):
-            targets.append(u.size)
+            shapes.append(u.shape)
             return pseudo_invert(g, u, *args, **kwargs)
 
         monkeypatch.setattr(operators, "pseudo_invert", counting)
+        return shapes
+
+    def test_square_inverts_one_triangle(self, inverted_shapes):
         ax = np.linspace(0.0, 1.0, 401)
         numeric_member().surface(ax[:, None], ax[None, :])
-        assert 0 < sum(targets) <= 0.6 * 401 ** 2
+        assert 0 < sum(math.prod(shape) for shape in inverted_shapes) <= 0.6 * 401 ** 2
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
+    @pytest.mark.parametrize("n, want", [(128, [(128, 128)]), (129, [(127, 129), (2, 2)])],
+                             ids=["n128", "n129"])
+    def test_square_walks_the_triangle_above_one_chunk(self, S, n, want, inverted_shapes):
+        # 128^2 = SOLVER_CHUNK cells are inverted in one call; from 129 points
+        # on, the square walks its triangle
+        ax = np.linspace(0.0, 1.0, n)
+        S.surface(ax[:, None], ax[None, :])
+        assert inverted_shapes == want
+
+    @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
+    def test_rectangle_inverts_in_one_call(self, S, inverted_shapes):
+        rows, cols = np.linspace(0.0, 1.0, 301), np.geomspace(1e-9, 1.0, 77)
+        assert rows.size * cols.size > SOLVER_CHUNK
+        Z = S.surface(rows[:, None], cols[None, :])
+        assert inverted_shapes == [(301, 77)]
+        g = S.generator
+        np.testing.assert_array_equal(Z, np.vstack([
+            pseudo_invert(g, geval(g, rows[i:i + 1, None]) + geval(g, cols[None, :]))
+            for i in range(rows.size)]))
 
     @pytest.mark.parametrize("S", MEMBERS, ids=["closed", "numeric"])
     def test_associativity_broadcast_matches_rows(self, S):
